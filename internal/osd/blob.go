@@ -10,6 +10,7 @@
 package osd
 
 import (
+	"slices"
 	"sort"
 
 	"lwfs/internal/netsim"
@@ -22,7 +23,7 @@ import (
 // allocating memory.
 type Blob struct {
 	size    int64
-	extents []extent // sorted by off, non-overlapping
+	extents []extent // sorted by off, non-overlapping, non-empty
 }
 
 type extent struct {
@@ -55,34 +56,32 @@ func (b *Blob) Write(off int64, payload netsim.Payload) {
 	b.insert(extent{off: off, data: data})
 }
 
-// insert places e into the extent list, trimming or splitting any overlaps.
+// insert places e into the extent list in place. Binary search finds the
+// run [i, j) of extents that e overlaps; the run is replaced by at most the
+// head of its first extent, e, and the tail of its last. An append past the
+// last extent moves nothing (amortised O(1) growth after an O(log n)
+// search); an overwrite of k extents costs O(log n + k), plus a memmove of
+// the later extents when it changes their count.
 func (b *Blob) insert(e extent) {
 	if len(e.data) == 0 {
 		return
 	}
-	var out []extent
-	for _, x := range b.extents {
-		switch {
-		case x.end() <= e.off || x.off >= e.end():
-			out = append(out, x) // disjoint
-		case x.off < e.off && x.end() > e.end():
-			// e splits x into a head and a tail.
-			head := extent{off: x.off, data: x.data[:e.off-x.off]}
-			tail := extent{off: e.end(), data: x.data[e.end()-x.off:]}
-			out = append(out, head, tail)
-		case x.off < e.off:
-			// keep x's head
-			out = append(out, extent{off: x.off, data: x.data[:e.off-x.off]})
-		case x.end() > e.end():
-			// keep x's tail
-			out = append(out, extent{off: e.end(), data: x.data[e.end()-x.off:]})
-		default:
-			// fully covered: drop
-		}
+	xs := b.extents
+	i := sort.Search(len(xs), func(k int) bool { return xs[k].end() > e.off })
+	j := i + sort.Search(len(xs)-i, func(k int) bool { return xs[i+k].off >= e.end() })
+	var buf [3]extent
+	repl := buf[:0]
+	if i < j && xs[i].off < e.off {
+		// Cap the head so no later growth can alias the dropped middle.
+		n := e.off - xs[i].off
+		repl = append(repl, extent{off: xs[i].off, data: xs[i].data[:n:n]})
 	}
-	out = append(out, e)
-	sort.Slice(out, func(i, j int) bool { return out[i].off < out[j].off })
-	b.extents = out
+	repl = append(repl, e)
+	if i < j && xs[j-1].end() > e.end() {
+		x := xs[j-1]
+		repl = append(repl, extent{off: e.end(), data: x.data[e.end()-x.off:]})
+	}
+	b.extents = slices.Replace(xs, i, j, repl...)
 }
 
 // Read returns [off, off+length). If the blob holds any real bytes in the
@@ -99,17 +98,11 @@ func (b *Blob) Read(off, length int64) netsim.Payload {
 		return netsim.SyntheticPayload(length)
 	}
 	out := make([]byte, length)
-	for _, x := range b.extents {
-		if x.end() <= off || x.off >= off+length {
-			continue
-		}
-		lo, hi := x.off, x.end()
-		if lo < off {
-			lo = off
-		}
-		if hi > off+length {
-			hi = off + length
-		}
+	end := off + length
+	xs := b.extents
+	for k := sort.Search(len(xs), func(k int) bool { return xs[k].end() > off }); k < len(xs) && xs[k].off < end; k++ {
+		x := xs[k]
+		lo, hi := max(x.off, off), min(x.end(), end)
 		copy(out[lo-off:hi-off], x.data[lo-x.off:hi-x.off])
 	}
 	return netsim.Payload{Size: length, Data: out}
@@ -121,14 +114,13 @@ func (b *Blob) Truncate(size int64) {
 		panic("osd: negative truncate")
 	}
 	b.size = size
-	var out []extent
-	for _, x := range b.extents {
-		switch {
-		case x.end() <= size:
-			out = append(out, x)
-		case x.off < size:
-			out = append(out, extent{off: x.off, data: x.data[:size-x.off]})
-		}
+	xs := b.extents
+	k := sort.Search(len(xs), func(k int) bool { return xs[k].end() > size })
+	if k < len(xs) && xs[k].off < size {
+		n := size - xs[k].off
+		xs[k].data = xs[k].data[:n:n]
+		k++
 	}
-	b.extents = out
+	clear(xs[k:])
+	b.extents = xs[:k]
 }

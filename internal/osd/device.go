@@ -3,6 +3,7 @@ package osd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"lwfs/internal/netsim"
@@ -323,14 +324,6 @@ func (d *Device) ListContainer(cid ContainerID) []ObjectID {
 			ids = append(ids, id)
 		}
 	}
-	sortIDs(ids)
+	slices.Sort(ids)
 	return ids
-}
-
-func sortIDs(ids []ObjectID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -3,6 +3,7 @@ package osd
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -257,56 +258,150 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-// Property: Blob.Write/Read agree with a naive byte-map model under
-// arbitrary overlapping write schedules.
-func TestBlobMatchesNaiveModel(t *testing.T) {
-	type op struct {
-		Off  uint16
-		Data []byte
+// runBlobScript decodes script into Write, Truncate and Read ops on a Blob
+// and checks the blob against a flat byte-slice model after every op: same
+// size, same bytes over [0, size) with zero-filled holes, and the extent
+// invariant (sorted, non-overlapping, non-empty, capacity-capped so no
+// extent can alias bytes outside itself). Each op is 4 script bytes: kind,
+// a 16-bit offset and a length.
+func runBlobScript(script []byte) error {
+	var b Blob
+	var model []byte // logical content; len(model) == b.Size()
+	for n := 0; len(script) >= 4; n++ {
+		kind, off, ln := script[0]%8, int64(script[1])|int64(script[2])<<8, int64(script[3])
+		script = script[4:]
+		switch {
+		case kind < 5: // writes dominate, as on a journal
+			off %= 1024
+			data := make([]byte, ln)
+			for i := range data {
+				data[i] = byte(n*31 + i)
+			}
+			b.Write(off, netsim.BytesPayload(data))
+			if end := off + ln; end > int64(len(model)) {
+				model = append(model, make([]byte, end-int64(len(model)))...)
+			}
+			copy(model[off:], data)
+		case kind == 5:
+			size := off % 1100
+			b.Truncate(size)
+			if size <= int64(len(model)) {
+				model = model[:size]
+			} else {
+				model = append(model, make([]byte, size-int64(len(model)))...)
+			}
+		default:
+			off %= 1100
+			if err := checkBlobRead(&b, model, off, ln*2); err != nil {
+				return fmt.Errorf("op %d: %v", n, err)
+			}
+		}
+		if b.Size() != int64(len(model)) {
+			return fmt.Errorf("op %d: size %d, model %d", n, b.Size(), len(model))
+		}
+		if err := checkBlobRead(&b, model, 0, b.Size()); err != nil {
+			return fmt.Errorf("op %d: %v", n, err)
+		}
+		for i, x := range b.extents {
+			switch {
+			case len(x.data) == 0:
+				return fmt.Errorf("op %d: extent %d empty", n, i)
+			case cap(x.data) != len(x.data):
+				return fmt.Errorf("op %d: extent %d cap %d > len %d", n, i, cap(x.data), len(x.data))
+			case i > 0 && b.extents[i-1].end() > x.off:
+				return fmt.Errorf("op %d: extent %d at %d overlaps or precedes end %d", n, i, x.off, b.extents[i-1].end())
+			}
+		}
 	}
-	prop := func(ops []op, readOff, readLen uint16) bool {
-		var b Blob
-		model := map[int64]byte{}
-		var maxEnd int64
-		for _, o := range ops {
-			if len(o.Data) > 256 {
-				o.Data = o.Data[:256]
-			}
-			off := int64(o.Off % 1024)
-			b.Write(off, netsim.BytesPayload(o.Data))
-			for i, c := range o.Data {
-				model[off+int64(i)] = c
-			}
-			if end := off + int64(len(o.Data)); end > maxEnd {
-				maxEnd = end
-			}
+	return nil
+}
+
+// checkBlobRead compares b.Read(off, length) with the model, reading past
+// the model's end as zeros.
+func checkBlobRead(b *Blob, model []byte, off, length int64) error {
+	got := b.Read(off, length)
+	if got.Size != length {
+		return fmt.Errorf("read [%d,+%d): size %d", off, length, got.Size)
+	}
+	for i := int64(0); i < length; i++ {
+		var want, have byte
+		if off+i < int64(len(model)) {
+			want = model[off+i]
 		}
-		if b.Size() != maxEnd {
+		if got.Data != nil {
+			have = got.Data[i]
+		}
+		if have != want {
+			return fmt.Errorf("read [%d,+%d): byte %d = %d, want %d", off, length, off+i, have, want)
+		}
+	}
+	return nil
+}
+
+// Property: interleaved Blob.Write/Truncate/Read agree with a naive model
+// and keep the extent invariant after every op.
+func TestBlobMatchesNaiveModel(t *testing.T) {
+	prop := func(seed int64, ops uint8) bool {
+		script := make([]byte, 4*(int(ops)+1))
+		rand.New(rand.NewSource(seed)).Read(script)
+		if err := runBlobScript(script); err != nil {
+			t.Log(err)
 			return false
-		}
-		off := int64(readOff % 1100)
-		length := int64(readLen % 512)
-		got := b.Read(off, length)
-		if len(ops) == 0 {
-			return got.Size == length
-		}
-		if got.Size != length {
-			return false
-		}
-		for i := int64(0); i < length; i++ {
-			want := model[off+i] // zero for holes
-			var have byte
-			if got.Data != nil {
-				have = got.Data[i]
-			}
-			if have != want {
-				return false
-			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func FuzzBlob(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 32, 0, 32, 0, 32, 0, 16, 0, 8, 7, 0, 0, 64})   // append, append, split, read
+	f.Add([]byte{0, 0, 0, 200, 5, 50, 0, 0, 1, 40, 0, 20, 6, 0, 0, 255}) // truncate mid-extent, rewrite
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if err := runBlobScript(script); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestBlobAppendAllocs pins journal appends to O(1) allocations however
+// many extents the blob already holds: the payload copy plus amortised
+// growth of the extent list.
+func TestBlobAppendAllocs(t *testing.T) {
+	var b Blob
+	rec := netsim.BytesPayload(make([]byte, 32))
+	for i := 0; i < 10000; i++ {
+		b.Write(b.Size(), rec)
+	}
+	avg := testing.AllocsPerRun(1000, func() { b.Write(b.Size(), rec) })
+	if avg > 2 {
+		t.Fatalf("append to a %d-extent blob allocates %.1f objects, want <= 2", len(b.extents), avg)
+	}
+}
+
+// BenchmarkBlobJournalAppend measures one 32-byte append to a blob already
+// holding n extents. Every 1024 appends the blob is truncated back to n
+// extents, so memory stays bounded; that cost is amortised into ns/op.
+func BenchmarkBlobJournalAppend(b *testing.B) {
+	for _, n := range []int{1 << 10, 1 << 14} {
+		b.Run(fmt.Sprintf("extents=%d", n), func(b *testing.B) {
+			var blob Blob
+			rec := netsim.BytesPayload(make([]byte, 32))
+			for i := 0; i < n; i++ {
+				blob.Write(blob.Size(), rec)
+			}
+			base := blob.Size()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%1024 == 0 {
+					blob.Truncate(base)
+				}
+				blob.Write(blob.Size(), rec)
+			}
+		})
 	}
 }
 

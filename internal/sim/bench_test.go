@@ -107,12 +107,17 @@ func TestTimeoutChurnZeroAlloc(t *testing.T) {
 func BenchmarkFIFOServerSchedule(b *testing.B) {
 	k := NewKernel()
 	s := NewFIFOServer(k, "s")
-	for i := 0; i < b.N; i++ {
-		s.Schedule(time.Microsecond, nil)
-	}
+	n := 0
+	fn := func() { n++ }
 	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(time.Microsecond, fn)
+	}
 	if err := k.Run(MaxTime); err != nil {
 		b.Fatal(err)
+	}
+	if n != b.N {
+		b.Fatalf("ran %d completions", n)
 	}
 }
 

@@ -14,7 +14,7 @@ trap 'rm -f "$tmp"' EXIT
 # -benchtime default (1s) keeps numbers stable; override via BENCHTIME for
 # the CI smoke (the smoke job runs `go test -bench` directly instead).
 go test -bench . -benchmem -benchtime "${BENCHTIME:-1s}" -run '^$' \
-	./internal/sim/ ./internal/netsim/ | tee "$tmp" >&2
+	./internal/sim/ ./internal/netsim/ ./internal/osd/ | tee "$tmp" >&2
 
 # Parse `BenchmarkName-N  iters  ns/op  B/op  allocs/op` lines into JSON.
 awk '
