@@ -139,13 +139,6 @@ func Start(ep *portals.Endpoint, realm *Realm, cfg Config) *Service {
 // Node returns the node the service runs on.
 func (s *Service) Node() netsim.NodeID { return s.node }
 
-// Stats reports operation counts.
-// Deprecated: thin read of `authn.logins|verifies|revokes`; prefer
-// Registry.Snapshot().
-func (s *Service) Stats() (logins, verifies, revokes int64) {
-	return s.logins.Value(), s.verifies.Value(), s.revokes.Value()
-}
-
 func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
 	p.Sleep(s.cfg.OpCost)
 	switch r := req.(type) {

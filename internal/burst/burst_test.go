@@ -96,8 +96,9 @@ func TestStageDrainRoundTrip(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	if bb.Staged() != 1 || bb.Passthroughs() != 0 {
-		t.Fatalf("staged=%d passthroughs=%d, want 1/0", bb.Staged(), bb.Passthroughs())
+	staged := r.Net.Metrics().Snapshot().Sum("burst.*.staged")
+	if staged != 1 || bb.Passthroughs() != 0 {
+		t.Fatalf("staged=%v passthroughs=%d, want 1/0", staged, bb.Passthroughs())
 	}
 	if bb.DrainLatencies().N() != 1 || bb.DrainLatencies().Mean() <= 0 {
 		t.Fatalf("drain latency sample %v", bb.DrainLatencies())
@@ -155,8 +156,9 @@ func TestBackpressurePassthrough(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	if bb.Staged() != 1 || bb.Passthroughs() != 1 {
-		t.Fatalf("staged=%d passthroughs=%d, want 1/1", bb.Staged(), bb.Passthroughs())
+	staged := r.Net.Metrics().Snapshot().Sum("burst.*.staged")
+	if staged != 1 || bb.Passthroughs() != 1 {
+		t.Fatalf("staged=%v passthroughs=%d, want 1/1", staged, bb.Passthroughs())
 	}
 }
 

@@ -58,8 +58,9 @@ func yieldScenario(t *testing.T, noYield bool) int64 {
 		}
 	})
 	r.Run(t)
-	if bb.Passthroughs() != 1 || bb.Staged() != 4 {
-		t.Fatalf("passthroughs=%d staged=%d, want 1/4", bb.Passthroughs(), bb.Staged())
+	staged := r.Net.Metrics().Snapshot().Sum("burst.*.staged")
+	if bb.Passthroughs() != 1 || staged != 4 {
+		t.Fatalf("passthroughs=%d staged=%v, want 1/4", bb.Passthroughs(), staged)
 	}
 	return bb.DrainYields()
 }

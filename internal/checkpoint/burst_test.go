@@ -159,12 +159,12 @@ func TestBurstBackpressureDegradesToPassthrough(t *testing.T) {
 		t.Fatalf("restore: %v", out.restoreErr)
 	}
 	bb := out.l.Burst[0]
-	t.Logf("staged %d, passthroughs %d, apparent %v, durable %v",
-		bb.Staged(), bb.Passthroughs(), out.res.Elapsed, out.res.Durable)
+	t.Logf("staged %d bytes, passthroughs %d, apparent %v, durable %v",
+		bb.StagedBytes(), bb.Passthroughs(), out.res.Elapsed, out.res.Durable)
 	if bb.Passthroughs() == 0 {
 		t.Fatalf("no pass-throughs despite a 2 MB window and an 8 MB burst")
 	}
-	if bb.Staged() == 0 {
+	if bb.StagedBytes() == 0 {
 		t.Fatalf("nothing staged — scenario should mix staged and pass-through writes")
 	}
 	for rank, got := range out.data {

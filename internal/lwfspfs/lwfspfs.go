@@ -41,10 +41,6 @@ import (
 	"lwfs/internal/txn"
 )
 
-// ErrBadLayout reports corrupt file layout metadata (the stripe codec's
-// error, re-exported for compatibility).
-var ErrBadLayout = stripe.ErrBadLayout
-
 // Options tune a file system instance. StripeUnit, Stripes, Scheme and
 // Copies persist in the superblock; Serial and Window are per-mount runtime
 // knobs.
@@ -262,7 +258,7 @@ func mount(p *sim.Proc, c *core.Client, rootDir string, cid authz.ContainerID, o
 	}
 	opts, ok := parseSuperblock(payload.Data)
 	if !ok {
-		return nil, ErrBadLayout
+		return nil, stripe.ErrBadLayout
 	}
 	fs.opts = opts.withDefaults(len(c.Servers()))
 	fs.eng = stripe.NewEngine(c, caps, fs.opts.Window)
@@ -304,10 +300,6 @@ func (fs *FS) Container() authz.ContainerID { return fs.cid }
 
 // Root returns the mount directory.
 func (fs *FS) Root() string { return fs.root }
-
-// SetSerial toggles the legacy per-unit serial transfer path at runtime
-// (mounted file systems default to the parallel engine).
-func (fs *FS) SetSerial(on bool) { fs.opts.Serial = on }
 
 // full converts an FS-relative path to a naming-service path.
 func (fs *FS) full(path string) string {
@@ -498,7 +490,7 @@ func (fs *FS) placeMeta(base int) []storage.Target {
 // lands: only ErrRPCTimeout — the fail-stop signature of a dead server —
 // falls through to the next mirror. ErrNoObject means the record was
 // fenced by a presumed-abort deletion on a live server, and a decode
-// failure (ErrBadLayout) means corruption; neither may be masked as
+// failure (stripe.ErrBadLayout) means corruption; neither may be masked as
 // transience by reading another mirror (DESIGN.md §4.11). An open served
 // by a mirror later in the client's walk than its first choice is recorded
 // in pfs.meta.degraded_opens.
@@ -826,7 +818,7 @@ func (f *File) Close(p *sim.Proc) error {
 // mirror. Size-only updates are length-monotonic, but Rebuild swaps object
 // refs, so the new encoding can be shorter than what's on disk — the
 // metadata object is truncated in that case, or the stale tail of the old
-// encoding would make the next Open's Decode fail with ErrBadLayout.
+// encoding would make the next Open's Decode fail with stripe.ErrBadLayout.
 //
 // The flush has WriteAtTolerant semantics: while more than one live mirror
 // remains, a mirror that times out is absorbed — marked stale, counted in

@@ -163,10 +163,9 @@ type entry struct {
 // NewRegistry; the cluster hangs it off the simulated network so every
 // service reachable from a portals endpoint shares it.
 type Registry struct {
-	mu     sync.Mutex
-	now    func() sim.Time
-	ents   map[string]*entry
-	nextID atomic.Int64
+	mu   sync.Mutex
+	now  func() sim.Time
+	ents map[string]*entry
 }
 
 // NewRegistry creates a registry whose snapshots are stamped by now —
@@ -183,16 +182,6 @@ func (r *Registry) Now() sim.Time {
 		return 0
 	}
 	return r.now()
-}
-
-// NextID returns a small unique integer, for callers that need to register
-// per-instance instruments under distinct names (iocache readers, stripe
-// engines: "iocache.cn3.r7.hits").
-func (r *Registry) NextID() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.nextID.Add(1)
 }
 
 // lookup returns the entry for name, creating it with mk on first

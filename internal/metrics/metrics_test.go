@@ -110,8 +110,8 @@ func TestNilRegistrySafe(t *testing.T) {
 	if h.N() != 1 {
 		t.Fatalf("unregistered histogram must still observe")
 	}
-	if r.NextID() != 0 || r.Now() != 0 {
-		t.Fatalf("nil registry NextID/Now must be zero")
+	if r.Now() != 0 {
+		t.Fatalf("nil registry Now must be zero")
 	}
 	snap := r.Snapshot()
 	if len(snap.Values) != 0 {

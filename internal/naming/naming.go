@@ -170,14 +170,6 @@ func Start(ep *portals.Endpoint, ac *authn.Client, part *txn.Participant, cfg Co
 // Node returns the node the service runs on.
 func (s *Service) Node() netsim.NodeID { return s.node }
 
-// Stats reports lookups, creates and removes served.
-//
-// Deprecated: thin read of `naming.lookups|creates|removes`; prefer
-// Registry.Snapshot().
-func (s *Service) Stats() (lookups, creates, removes int64) {
-	return s.lookups.Value(), s.creates.Value(), s.removes.Value()
-}
-
 func (s *Service) principal(p *sim.Proc, cred authn.Credential) (authn.Principal, error) {
 	if e, ok := s.credCache[cred.Token]; ok && p.Now().Sub(e.at) < s.cfg.CredCacheTTL {
 		return e.user, nil

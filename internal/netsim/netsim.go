@@ -76,6 +76,9 @@ type Node struct {
 	cfg     Config
 	handler Handler
 
+	// net.<name>.msgs_sent|msgs_received|bytes_sent|bytes_received count
+	// link-level messages (every chunk, ack and header), a different unit
+	// from `rpc.<server>.served`, which counts completed RPC requests.
 	sent, received           *metrics.Counter
 	bytesSent, bytesReceived *metrics.Counter
 }
@@ -232,17 +235,6 @@ func (n *Network) Nodes() []*Node { return n.nodes }
 // handler drops messages (and panics in debug builds of protocols, which
 // always bind handlers first).
 func (nd *Node) SetHandler(h Handler) { nd.handler = h }
-
-// Stats reports message and byte counters for a node.
-//
-// Deprecated: thin read of the `net.<name>.msgs_sent/msgs_received/
-// bytes_sent/bytes_received` registry instruments; prefer
-// Network.Metrics().Snapshot(). These count link-level messages (every
-// chunk, ack and header), a different unit from `rpc.<server>.served`,
-// which counts completed RPC requests.
-func (nd *Node) Stats() (sent, received, bytesSent, bytesReceived int64) {
-	return nd.sent.Value(), nd.received.Value(), nd.bytesSent.Value(), nd.bytesReceived.Value()
-}
 
 // IngressBusy reports the total time the node's ingress server was busy.
 func (nd *Node) IngressBusy() time.Duration { return nd.ingress.BusyTime() }

@@ -99,7 +99,7 @@ func TestEgressSerializesSuccessiveSends(t *testing.T) {
 	}
 }
 
-func TestStatsCounters(t *testing.T) {
+func TestLinkCounters(t *testing.T) {
 	k := sim.NewKernel()
 	net, a, b := twoNodeNet(k, mb, 0)
 	b.SetHandler(func(m Message) {})
@@ -108,10 +108,11 @@ func TestStatsCounters(t *testing.T) {
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	sent, _, bytesSent, _ := a.Stats()
-	_, recv, _, bytesRecv := b.Stats()
+	snap := net.Metrics().Snapshot()
+	sent, bytesSent := snap.Value("net.a.msgs_sent"), snap.Value("net.a.bytes_sent")
+	recv, bytesRecv := snap.Value("net.b.msgs_received"), snap.Value("net.b.bytes_received")
 	if sent != 2 || recv != 2 || bytesSent != 3072 || bytesRecv != 3072 {
-		t.Fatalf("stats: %d %d %d %d", sent, recv, bytesSent, bytesRecv)
+		t.Fatalf("link counters: %v %v %v %v", sent, recv, bytesSent, bytesRecv)
 	}
 }
 

@@ -142,9 +142,9 @@ func TestMDSSerializesCreates(t *testing.T) {
 	if last.Duration() < 8*1300*time.Microsecond {
 		t.Fatalf("creates overlapped at the MDS: finished at %v", last)
 	}
-	creates, _, _, _ := f.MDS.Stats()
-	if creates != int64(n) {
-		t.Fatalf("creates = %d", creates)
+	creates := cl.Metrics().Snapshot().Value("pfs.mds.creates")
+	if creates != float64(n) {
+		t.Fatalf("creates = %v", creates)
 	}
 }
 
@@ -183,13 +183,10 @@ func TestSharedFileLockSwitches(t *testing.T) {
 		})
 	}
 	run(t, cl)
-	var switches int64
-	for _, ost := range f.OSTs {
-		switches += ost.LockSwitches()
-	}
+	switches := cl.Metrics().Snapshot().Sum("pfs.*.lock_switches")
 	// Interleaved shared writers must ping-pong extent locks heavily.
-	if switches < int64(nClients) {
-		t.Fatalf("lock switches = %d; shared-file contention not modeled", switches)
+	if switches < float64(nClients) {
+		t.Fatalf("lock switches = %v; shared-file contention not modeled", switches)
 	}
 }
 

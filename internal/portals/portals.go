@@ -213,21 +213,8 @@ func (ep *Endpoint) Metrics() *metrics.Registry { return ep.net.Metrics() }
 // Kernel returns the simulation kernel.
 func (ep *Endpoint) Kernel() *sim.Kernel { return ep.net.Kernel() }
 
-// Dropped reports messages that arrived with no matching match entry.
-//
-// Deprecated: thin read of `portals.<node>.no_match_drops`; prefer
-// Metrics().Snapshot().
-func (ep *Endpoint) Dropped() int64 { return ep.dropped.Value() }
-
 // DroppedAt reports no-match drops at one portal index.
 func (ep *Endpoint) DroppedAt(pt Index) int64 { return ep.droppedAt[pt] }
-
-// LateDrops reports messages dropped because they arrived after the
-// operation that posted their match entry had timed out.
-//
-// Deprecated: thin read of `portals.<node>.late_drops`; prefer
-// Metrics().Snapshot().
-func (ep *Endpoint) LateDrops() int64 { return ep.lateDrops.Value() }
 
 // SetGetRetry arms one-sided Gets with a retry policy: each attempt is
 // bounded by pol.Timeout and a lost request or reply is re-issued under a

@@ -58,8 +58,8 @@ func TestPutNoMatchDropped(t *testing.T) {
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if r.eps[1].Dropped() != 1 {
-		t.Fatalf("dropped = %d", r.eps[1].Dropped())
+	if r.eps[1].dropped.Value() != 1 {
+		t.Fatalf("dropped = %d", r.eps[1].dropped.Value())
 	}
 }
 
@@ -89,8 +89,8 @@ func TestAttachOnceUnlinksAfterFirstMatch(t *testing.T) {
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if eq.Len() != 1 || r.eps[1].Dropped() != 1 {
-		t.Fatalf("eq=%d dropped=%d", eq.Len(), r.eps[1].Dropped())
+	if eq.Len() != 1 || r.eps[1].dropped.Value() != 1 {
+		t.Fatalf("eq=%d dropped=%d", eq.Len(), r.eps[1].dropped.Value())
 	}
 }
 
@@ -326,8 +326,8 @@ func TestUnlinkRemovesEntry(t *testing.T) {
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if eq.Len() != 0 || r.eps[1].Dropped() != 1 {
-		t.Fatalf("eq=%d dropped=%d", eq.Len(), r.eps[1].Dropped())
+	if eq.Len() != 0 || r.eps[1].dropped.Value() != 1 {
+		t.Fatalf("eq=%d dropped=%d", eq.Len(), r.eps[1].dropped.Value())
 	}
 }
 

@@ -138,8 +138,8 @@ func TestLateReplyAfterCallTimeoutIsCountedNotDelivered(t *testing.T) {
 	if c.LateReplies() != 1 {
 		t.Fatalf("late replies = %d, want 1", c.LateReplies())
 	}
-	if r.eps[0].LateDrops() != 1 {
-		t.Fatalf("endpoint late drops = %d, want 1", r.eps[0].LateDrops())
+	if r.eps[0].lateDrops.Value() != 1 {
+		t.Fatalf("endpoint late drops = %d, want 1", r.eps[0].lateDrops.Value())
 	}
 }
 
@@ -163,7 +163,7 @@ func TestServerDownDiscardsAndRestartServes(t *testing.T) {
 	if err != nil || got.(string) != "ok" {
 		t.Fatalf("got %v, %v", got, err)
 	}
-	if srv.Discarded() == 0 {
+	if srv.discarded.Value() == 0 {
 		t.Fatal("expected discarded requests while down")
 	}
 }

@@ -230,23 +230,12 @@ func (s *Server) shedReply(epoch uint64, req rpcRequest, err error) {
 	s.ep.Put(req.From, replyPortal, MatchBits(req.Token), rpcResponse{Token: req.Token, Err: err}, netsim.Payload{})
 }
 
-// Served reports the number of requests completed.
-//
-// Deprecated: thin read of `rpc.<name>.served`; prefer
-// Endpoint.Metrics().Snapshot().
+// Served reports the number of requests completed (`rpc.<name>.served`).
 func (s *Server) Served() int64 { return s.served.Value() }
 
-// Deduped reports retried requests answered without re-running the handler.
-//
-// Deprecated: thin read of `rpc.<name>.deduped`; prefer
-// Endpoint.Metrics().Snapshot().
+// Deduped reports retried requests answered without re-running the handler
+// (`rpc.<name>.deduped`).
 func (s *Server) Deduped() int64 { return s.deduped.Value() }
-
-// Discarded reports requests dropped because the server was down.
-//
-// Deprecated: thin read of `rpc.<name>.discarded`; prefer
-// Endpoint.Metrics().Snapshot().
-func (s *Server) Discarded() int64 { return s.discarded.Value() }
 
 // QueueLen reports requests waiting for a service thread (also exported as
 // the `rpc.<name>.queue_depth` gauge).

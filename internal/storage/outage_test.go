@@ -79,14 +79,15 @@ func TestCapCacheSurvivesAuthzOutage(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	hits, misses, _ := srv.CacheStats()
+	snap := r.Net.Metrics().Snapshot()
+	hits, misses := snap.Sum("storage.*.cap_cache.hits"), snap.Sum("storage.*.cap_cache.misses")
 	if hits < 5 {
-		t.Fatalf("cache hits = %d; outage writes did not use the cache", hits)
+		t.Fatalf("cache hits = %v; outage writes did not use the cache", hits)
 	}
 	// create, warm write, failed cold read, successful read — one
 	// verification attempt each (the failed one does not populate the cache).
 	if misses != 4 {
-		t.Fatalf("misses = %d", misses)
+		t.Fatalf("misses = %v", misses)
 	}
 }
 

@@ -235,14 +235,6 @@ func (s *Server) Device() *osd.Device { return s.dev }
 // harnesses can arm its caller with a retry policy.
 func (s *Server) AuthzClient() *authz.Client { return s.az }
 
-// CacheStats reports capability-cache hits, misses and invalidations.
-//
-// Deprecated: thin read of `storage.<dev>.cap_cache.hits|misses|invalidated`;
-// prefer Registry.Snapshot().
-func (s *Server) CacheStats() (hits, misses, invalidated int64) {
-	return s.cacheHits.Value(), s.cacheMisses.Value(), s.invalidated.Value()
-}
-
 // Served reports completed requests.
 func (s *Server) Served() int64 { return s.rpc.Served() }
 

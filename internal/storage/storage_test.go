@@ -192,14 +192,14 @@ func TestCapCacheAmortizesVerification(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	hits, misses, _ := srv.CacheStats()
+	snap := r.Net.Metrics().Snapshot()
+	hits, misses := snap.Sum("storage.*.cap_cache.hits"), snap.Sum("storage.*.cap_cache.misses")
 	// One miss per distinct capability (create, write); the other 9 writes hit.
 	if misses != 2 || hits != 9 {
-		t.Fatalf("cache hits=%d misses=%d", hits, misses)
+		t.Fatalf("cache hits=%v misses=%v", hits, misses)
 	}
-	verifies, _, _, _ := r.Authz.Stats()
-	if verifies != 2 {
-		t.Fatalf("authz verifies = %d", verifies)
+	if verifies := snap.Value("authz.verifies"); verifies != 2 {
+		t.Fatalf("authz verifies = %v", verifies)
 	}
 }
 
@@ -238,9 +238,9 @@ func TestRevocationStopsWriterKeepsReader(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	_, _, invalidated := srv.CacheStats()
+	invalidated := r.Net.Metrics().Snapshot().Sum("storage.*.cap_cache.invalidated")
 	if invalidated != 1 {
-		t.Fatalf("invalidated = %d, want 1", invalidated)
+		t.Fatalf("invalidated = %v, want 1", invalidated)
 	}
 }
 
@@ -426,9 +426,10 @@ func TestDisabledCapCacheVerifiesEveryRequest(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	hits, misses, _ := srv.CacheStats()
+	snap := r.Net.Metrics().Snapshot()
+	hits, misses := snap.Sum("storage.*.cap_cache.hits"), snap.Sum("storage.*.cap_cache.misses")
 	if hits != 0 || misses != 6 { // 1 create + 5 writes
-		t.Fatalf("hits=%d misses=%d", hits, misses)
+		t.Fatalf("hits=%v misses=%v", hits, misses)
 	}
 }
 

@@ -117,14 +117,6 @@ func StartLockServer(ep *portals.Endpoint, port portals.Index, opCost time.Durat
 	return ls
 }
 
-// Stats reports grants, waits (requests that queued) and timeouts.
-//
-// Deprecated: thin read of `lock.grants|waits|timeouts`; prefer
-// Registry.Snapshot().
-func (ls *LockServer) Stats() (grants, waits, timeouts int64) {
-	return ls.grants.Value(), ls.waits.Value(), ls.timeouts.Value()
-}
-
 // QueueLen reports the number of waiters on a named lock.
 func (ls *LockServer) QueueLen(name string) int {
 	if st, ok := ls.locks[name]; ok {

@@ -170,14 +170,6 @@ func (pt *Participant) Restart() { pt.rpc.SetDown(false) }
 // Down reports whether the participant is crashed.
 func (pt *Participant) Down() bool { return pt.rpc.Down() }
 
-// Stats reports prepares, commits and aborts handled.
-//
-// Deprecated: thin read of `txn.<dev>.prepares|commits|aborts`; prefer
-// Registry.Snapshot().
-func (pt *Participant) Stats() (prepares, commits, aborts int64) {
-	return pt.prepares.Value(), pt.commits.Value(), pt.aborts.Value()
-}
-
 // Status reports the local status of a transaction (StatusActive for
 // unknown transactions, which have simply logged nothing here yet).
 func (pt *Participant) Status(id ID) Status {

@@ -1,27 +1,35 @@
 #!/usr/bin/env bash
 # stats-gate.sh: hold the line on the metrics migration.
 #
-# The registry (internal/metrics) is the one observability surface; the
-# multi-return Stats() accessors that predate it survive only as deprecated
-# thin reads in the packages listed below. Any NEW multi-return Stats()
-# accessor outside that list means someone grew a parallel hand-rolled
-# counter path instead of registering instruments — fail the build and point
-# them at the registry.
+# The registry (internal/metrics) is the one observability surface: every
+# counter is read through Registry.Snapshot(). Two things mean someone grew
+# a parallel path back — fail the build and point them at the registry:
+#   - a multi-return Stats() accessor, i.e. a hand-rolled counter read;
+#   - a `// Deprecated:` comment, i.e. a compatibility layer kept alive
+#     beside the registry instead of being migrated and deleted.
 #
 # Run from the repository root: ./scripts/stats-gate.sh
 set -u
 
-# Packages whose legacy Stats() accessors are grandfathered as deprecated
-# thin reads over registry instruments (see DESIGN.md "Observability").
-ALLOWED='internal/iocache/|internal/authz/|internal/authn/|internal/txn/|internal/naming/|internal/pfs/|internal/netsim/'
+fail=0
 
-offenders=$(grep -rn --include='*.go' 'func ([^)]*) Stats() (' internal cmd 2>/dev/null \
-	| grep -v '_test\.go:' \
-	| grep -Ev "^($ALLOWED)")
+stats=$(grep -rn --include='*.go' 'func ([^)]*) Stats() (' internal cmd examples ./*.go 2>/dev/null \
+	| grep -v '_test\.go:')
+if [ -n "$stats" ]; then
+	echo "stats-gate: multi-return Stats() accessor(s):" >&2
+	echo "$stats" >&2
+	fail=1
+fi
 
-if [ -n "$offenders" ]; then
-	echo "stats-gate: new multi-return Stats() accessor(s) outside the deprecation allowlist:" >&2
-	echo "$offenders" >&2
+deprecated=$(grep -rn --include='*.go' '// Deprecated:' internal cmd examples ./*.go 2>/dev/null \
+	| grep -v '_test\.go:')
+if [ -n "$deprecated" ]; then
+	echo "stats-gate: deprecated API(s) kept beside the registry; migrate callers and delete them:" >&2
+	echo "$deprecated" >&2
+	fail=1
+fi
+
+if [ "$fail" -ne 0 ]; then
 	echo "stats-gate: register metrics.Counter/Gauge/Histogram instruments instead (see internal/metrics)." >&2
 	exit 1
 fi
