@@ -39,34 +39,29 @@ func ActiveStorageScan(useFilter bool) (time.Duration, error) {
 	}
 	c := cl.NewClient(l, 0)
 	var elapsed time.Duration
-	var benchErr error
-	cl.Spawn("scan", func(p *sim.Proc) {
-		fail := func(stage string, err error) { benchErr = fmt.Errorf("%s: %w", stage, err) }
+	err := runProc(cl.K, "scan", func(p *sim.Proc) error {
 		if err := c.Login(p, "u", "pw"); err != nil {
-			fail("login", err)
-			return
+			return fmt.Errorf("login: %w", err)
 		}
 		cid, _ := c.CreateContainer(p)
 		caps, err := c.GetCaps(p, cid, authz.AllOps...)
 		if err != nil {
-			fail("caps", err)
-			return
+			return fmt.Errorf("caps: %w", err)
 		}
 		refs := make([]storage.ObjRef, len(l.Servers))
 		for i := range l.Servers {
 			ref, err := c.CreateObject(p, c.Server(i), caps)
 			if err != nil {
-				fail("create", err)
-				return
+				return fmt.Errorf("create: %w", err)
 			}
 			refs[i] = ref
 			if _, err := c.Write(p, ref, caps, 0, netsim.SyntheticPayload(shard)); err != nil {
-				fail("write", err)
-				return
+				return fmt.Errorf("write: %w", err)
 			}
 		}
 		start := p.Now()
 		var wg sim.WaitGroup
+		var scanErr error
 		wg.Add(len(refs))
 		for i := range refs {
 			ref := refs[i]
@@ -74,20 +69,18 @@ func ActiveStorageScan(useFilter bool) (time.Duration, error) {
 				defer wg.Done()
 				if useFilter {
 					if _, err := c.Filter(q, ref, caps, 0, shard, "count", "", 64); err != nil {
-						fail("filter", err)
+						scanErr = fmt.Errorf("filter: %w", err)
 					}
 				} else {
 					if _, err := c.Read(q, ref, caps, 0, shard); err != nil {
-						fail("read", err)
+						scanErr = fmt.Errorf("read: %w", err)
 					}
 				}
 			})
 		}
 		wg.Wait(p)
 		elapsed = p.Now().Sub(start)
+		return scanErr
 	})
-	if err := cl.Run(); err != nil {
-		return 0, err
-	}
-	return elapsed, benchErr
+	return elapsed, err
 }

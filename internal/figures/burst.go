@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -33,31 +34,15 @@ type BurstOpts struct {
 	BytesPerProc int64
 	Trials       int
 	Progress     func(format string, args ...interface{}) // optional
-	// Metrics captures a registry snapshot pair (post-deploy, post-run)
-	// for the last trial of every sweep point, rendered by
-	// `lwfsbench -metrics` as per-phase delta tables.
-	Metrics bool
 }
 
 func (o *BurstOpts) defaults() {
-	if len(o.Buffers) == 0 {
-		o.Buffers = []int{0, 1, 2, 4}
-	}
-	if len(o.DrainBWs) == 0 {
-		o.DrainBWs = []float64{0, 48 * (1 << 20)}
-	}
-	if o.Procs == 0 {
-		o.Procs = 8
-	}
-	if o.Servers == 0 {
-		o.Servers = 4
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = 1 << 20
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	o.Buffers = orDefault(o.Buffers, []int{0, 1, 2, 4})
+	o.DrainBWs = orDefault(o.DrainBWs, []float64{0, 48 * (1 << 20)})
+	o.Procs = cmp.Or(o.Procs, 8)
+	o.Servers = cmp.Or(o.Servers, 4)
+	o.BytesPerProc = cmp.Or(o.BytesPerProc, 1<<20)
+	o.Trials = cmp.Or(o.Trials, 3)
 }
 
 // BurstPoint is the sweep's measurement at one (buffer count, drain BW).
@@ -75,7 +60,7 @@ type BurstPoint struct {
 type BurstResult struct {
 	Opts     BurstOpts
 	Points   []BurstPoint
-	Captures []MetricsCapture // one per point when Opts.Metrics is set
+	Captures []MetricsCapture // one per point: post-deploy vs post-run, last trial
 }
 
 // BurstSweep measures apparent vs durable checkpoint time at each point.
@@ -127,17 +112,15 @@ func BurstSweep(opts BurstOpts) (BurstResult, error) {
 					point.DrainP99.Add(lat.Percentile(99))
 				}
 				point.Passthru.Add(snap.Sum("burst.*.passthroughs"))
-				if opts.Metrics && trial == opts.Trials-1 {
+				if trial == opts.Trials-1 {
 					res.Captures = append(res.Captures, MetricsCapture{
 						Label: fmt.Sprintf("buffers=%d bw=%s", nb, bwLabel(bw)),
 						Base:  base, Final: snap,
 					})
 				}
 			}
-			if opts.Progress != nil {
-				opts.Progress("burst n=%d bw=%s: apparent %s ms, durable %s ms",
-					nb, bwLabel(bw), point.Apparent.String(), point.Durable.String())
-			}
+			report(opts.Progress, "burst n=%d bw=%s: apparent %s ms, durable %s ms",
+				nb, bwLabel(bw), point.Apparent.String(), point.Durable.String())
 			res.Points = append(res.Points, point)
 		}
 	}

@@ -16,7 +16,6 @@ func TestBurstSweepHidesDrainLatency(t *testing.T) {
 		Servers:      2,
 		BytesPerProc: 2 << 20,
 		Trials:       1,
-		Metrics:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -43,30 +44,18 @@ type CkptIntervalOpts struct {
 	Buffers int
 	// MTBFs lists system MTBF points (default 1h, 4h, 24h).
 	MTBFs    []time.Duration
-	Seed     int64
 	Progress func(format string, args ...interface{}) // optional
-	Metrics  bool
 }
 
+// ckptIntervalSeed seeds both E23 arms.
+const ckptIntervalSeed = 23
+
 func (o *CkptIntervalOpts) defaults() {
-	if o.Procs == 0 {
-		o.Procs = 2000
-	}
-	if o.TotalRanks == 0 {
-		o.TotalRanks = 100000
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = 4 << 20
-	}
-	if o.Buffers == 0 {
-		o.Buffers = 16
-	}
-	if len(o.MTBFs) == 0 {
-		o.MTBFs = []time.Duration{time.Hour, 4 * time.Hour, 24 * time.Hour}
-	}
-	if o.Seed == 0 {
-		o.Seed = 23
-	}
+	o.Procs = cmp.Or(o.Procs, 2000)
+	o.TotalRanks = cmp.Or(o.TotalRanks, 100000)
+	o.BytesPerProc = cmp.Or(o.BytesPerProc, 4<<20)
+	o.Buffers = cmp.Or(o.Buffers, 16)
+	o.MTBFs = orDefault(o.MTBFs, []time.Duration{time.Hour, 4 * time.Hour, 24 * time.Hour})
 }
 
 // CkptIntervalArm is one measured dump configuration.
@@ -92,7 +81,7 @@ type CkptIntervalResult struct {
 	Opts     CkptIntervalOpts
 	Arms     []CkptIntervalArm
 	Rows     []CkptIntervalRow
-	Captures []MetricsCapture
+	Captures []MetricsCapture // one per arm
 }
 
 // CkptIntervalRun measures both arms and evaluates the interval model.
@@ -105,22 +94,17 @@ func CkptIntervalRun(opts CkptIntervalOpts) (CkptIntervalResult, error) {
 			TotalRanks:   opts.TotalRanks,
 			BytesPerProc: opts.BytesPerProc,
 			Buffers:      opts.Buffers,
-			Seed:         opts.Seed,
 		}
-		pt, mc, err := redStormPoint(rsOpts, opts.Procs, staged)
+		pt, mc, err := redStormPoint(rsOpts, opts.Procs, staged, ckptIntervalSeed)
 		if err != nil {
 			return res, fmt.Errorf("ckptinterval staged=%v: %w", staged, err)
 		}
 		arm := CkptIntervalArm{Staged: staged, Apparent: pt.Apparent, Durable: pt.Durable}
 		res.Arms = append(res.Arms, arm)
-		if opts.Metrics {
-			mc.Label = fmt.Sprintf("staged=%v", staged)
-			res.Captures = append(res.Captures, mc)
-		}
-		if opts.Progress != nil {
-			opts.Progress("ckptinterval staged=%v: t_a %v, t_d %v",
-				staged, arm.Apparent.Round(time.Millisecond), arm.Durable.Round(time.Millisecond))
-		}
+		mc.Label = fmt.Sprintf("staged=%v", staged)
+		res.Captures = append(res.Captures, mc)
+		report(opts.Progress, "ckptinterval staged=%v: t_a %v, t_d %v",
+			staged, arm.Apparent.Round(time.Millisecond), arm.Durable.Round(time.Millisecond))
 		for _, mtbf := range opts.MTBFs {
 			res.Rows = append(res.Rows, intervalRow(arm, mtbf))
 		}
@@ -132,7 +116,7 @@ func intervalRow(arm CkptIntervalArm, mtbf time.Duration) CkptIntervalRow {
 	row := CkptIntervalRow{Arm: arm, MTBF: mtbf}
 	row.TauOpt = time.Duration(math.Sqrt(2 * float64(arm.Apparent) * float64(mtbf)))
 	row.TauFloor = arm.Durable - arm.Apparent
-	row.Tau = maxDur(row.TauOpt, row.TauFloor)
+	row.Tau = max(row.TauOpt, row.TauFloor)
 	row.DrainBound = row.TauFloor > row.TauOpt
 	ta, tau, m := float64(arm.Apparent), float64(row.Tau), float64(mtbf)
 	row.Efficiency = 1 - ta/tau - tau/(2*m)

@@ -29,18 +29,15 @@ func CollectiveVsIndependent(collective bool) (time.Duration, error) {
 		clients[i] = cl.NewClient(l, i)
 	}
 	var elapsed time.Duration
-	var benchErr error
-	cl.Spawn("driver", func(p *sim.Proc) {
+	err := runProc(cl.K, "driver", func(p *sim.Proc) error {
 		c := clients[0]
 		if err := c.Login(p, "mpi", "pw"); err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		cid, _ := c.CreateContainer(p)
 		caps, err := c.GetCaps(p, cid, authz.AllOps...)
 		if err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		for _, other := range clients[1:] {
 			other.SetCredential(c.Credential())
@@ -48,11 +45,11 @@ func CollectiveVsIndependent(collective bool) (time.Duration, error) {
 		job := collio.NewJob(clients, caps, 0)
 		ds, err := job.CreateDataset(p, records*recSize)
 		if err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		start := p.Now()
 		var wg sim.WaitGroup
+		var rankErr error
 		wg.Add(ranks)
 		for i := 0; i < ranks; i++ {
 			i := i
@@ -71,16 +68,14 @@ func CollectiveVsIndependent(collective bool) (time.Duration, error) {
 				} else {
 					werr = job.Rank(i).IndependentWrite(q, ds, frags)
 				}
-				if werr != nil && benchErr == nil {
-					benchErr = werr
+				if werr != nil && rankErr == nil {
+					rankErr = werr
 				}
 			})
 		}
 		wg.Wait(p)
 		elapsed = p.Now().Sub(start)
+		return rankErr
 	})
-	if err := cl.Run(); err != nil {
-		return 0, err
-	}
-	return elapsed, benchErr
+	return elapsed, err
 }

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -30,34 +31,26 @@ import (
 
 // FaultOpts parameterize the fault sweep.
 type FaultOpts struct {
-	DropProbs    []float64 // drop probability per point (0 = clean baseline)
-	Procs        int
-	Servers      int
-	BytesPerProc int64
-	Trials       int
-	Progress     func(format string, args ...interface{}) // optional
+	DropProbs []float64 // drop probability per point (0 = clean baseline)
+	Procs     int
+	Servers   int
+	Trials    int
+	Progress  func(format string, args ...interface{}) // optional
 }
 
+// faultBytesPerProc is each rank's checkpoint size; faultRetry's timeout is
+// sized to one healthy write of it.
+const faultBytesPerProc = 1 << 20
+
 func (o *FaultOpts) defaults() {
-	if len(o.DropProbs) == 0 {
-		o.DropProbs = []float64{0, 0.01, 0.05, 0.10}
-	}
-	if o.Procs == 0 {
-		o.Procs = 8
-	}
-	if o.Servers == 0 {
-		o.Servers = 4
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = 1 << 20
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	o.DropProbs = orDefault(o.DropProbs, []float64{0, 0.01, 0.05, 0.10})
+	o.Procs = cmp.Or(o.Procs, 8)
+	o.Servers = cmp.Or(o.Servers, 4)
+	o.Trials = cmp.Or(o.Trials, 3)
 }
 
 // faultRetry is the client policy for lossy-fabric runs: the timeout covers
-// one healthy BytesPerProc write (disk time included) so only real losses
+// one healthy faultBytesPerProc write (disk time included) so only real losses
 // trigger retransmission.
 var faultRetry = portals.RetryPolicy{
 	MaxAttempts: 6,
@@ -125,7 +118,7 @@ func FaultSweep(opts FaultOpts) (FaultResult, error) {
 
 			r, err := checkpoint.SetupLWFS(cl, l, checkpoint.Config{
 				Procs:        opts.Procs,
-				BytesPerProc: opts.BytesPerProc,
+				BytesPerProc: faultBytesPerProc,
 				Seed:         seed,
 				Retry:        faultRetry,
 			})
@@ -147,9 +140,7 @@ func FaultSweep(opts FaultOpts) (FaultResult, error) {
 				point.Dropped.Add(0)
 			}
 		}
-		if opts.Progress != nil {
-			opts.Progress("faults drop=%.2f: %s ms", dp, point.Elapsed.String())
-		}
+		report(opts.Progress, "faults drop=%.2f: %s ms", dp, point.Elapsed.String())
 		res.Points = append(res.Points, point)
 	}
 	return res, nil
@@ -159,7 +150,7 @@ func FaultSweep(opts FaultOpts) (FaultResult, error) {
 // baseline.
 func (r FaultResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Fault injection: %d-process LWFS checkpoint, %d servers, %d MB/process, %d trials\n",
-		r.Opts.Procs, r.Opts.Servers, r.Opts.BytesPerProc>>20, r.Opts.Trials)
+		r.Opts.Procs, r.Opts.Servers, faultBytesPerProc>>20, r.Opts.Trials)
 	fmt.Fprintln(w, "# storage-link drop probability vs completion time (graceful degradation, §3/§4)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "drop\telapsed (ms)\tslowdown\tdropped msgs\tdeduped retries")

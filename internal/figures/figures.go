@@ -8,6 +8,7 @@
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -16,14 +17,16 @@ import (
 	"lwfs/internal/checkpoint"
 	"lwfs/internal/cluster"
 	"lwfs/internal/metrics"
+	"lwfs/internal/sim"
 	"lwfs/internal/stats"
 )
 
 // MetricsCapture pairs two registry snapshots around one sweep point: Base
-// right after deployment, Final after the run. Experiments that accept a
-// Metrics option fill one per point; `lwfsbench -metrics` renders them as
-// delta tables (RPC rates, cache hit ratios, queue depths, drain backlog —
-// no experiment-specific getter code involved).
+// right after deployment, Final after the run. The sweeps that snapshot the
+// registry always keep their captures — one per sweep point or phase, from
+// its last trial; `lwfsbench -metrics` renders them as delta tables (RPC
+// rates, cache hit ratios, queue depths, drain backlog — no
+// experiment-specific getter code involved).
 type MetricsCapture struct {
 	Label       string
 	Base, Final metrics.Snapshot
@@ -34,6 +37,33 @@ func RenderMetricsCaptures(w io.Writer, caps []MetricsCapture) {
 	for _, c := range caps {
 		fmt.Fprintf(w, "\n## metrics: %s\n", c.Label)
 		c.Final.Diff(c.Base).WriteTable(w)
+	}
+}
+
+// orDefault returns s, or d when s is empty: the Opts defaults() for
+// slice fields (scalars use cmp.Or).
+func orDefault[S ~[]E, E any](s, d S) S {
+	if len(s) == 0 {
+		return d
+	}
+	return s
+}
+
+// runProc spawns body as process name, runs k until it drains, and returns
+// the kernel's error, or else body's.
+func runProc(k *sim.Kernel, name string, body func(p *sim.Proc) error) error {
+	var bodyErr error
+	k.Spawn(name, func(p *sim.Proc) { bodyErr = body(p) })
+	if err := k.Run(sim.MaxTime); err != nil {
+		return err
+	}
+	return bodyErr
+}
+
+// report calls the optional progress callback every Opts carries.
+func report(progress func(format string, args ...interface{}), format string, args ...interface{}) {
+	if progress != nil {
+		progress(format, args...)
 	}
 }
 
@@ -84,24 +114,10 @@ type Fig9Opts struct {
 }
 
 func (o *Fig9Opts) defaults() {
-	if len(o.Servers) == 0 {
-		o.Servers = DefaultServers
-	}
-	if len(o.Clients) == 0 {
-		o.Clients = DefaultClients
-	}
-	if o.Trials == 0 {
-		o.Trials = DefaultTrials
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = DefaultBytesPerProc
-	}
-}
-
-func (o *Fig9Opts) progress(format string, args ...interface{}) {
-	if o.Progress != nil {
-		o.Progress(format, args...)
-	}
+	o.Servers = orDefault(o.Servers, DefaultServers)
+	o.Clients = orDefault(o.Clients, DefaultClients)
+	o.Trials = cmp.Or(o.Trials, DefaultTrials)
+	o.BytesPerProc = cmp.Or(o.BytesPerProc, DefaultBytesPerProc)
 }
 
 // Fig9Result holds one implementation's panel of Figure 9: throughput
@@ -114,29 +130,16 @@ type Fig9Result struct {
 // Fig9 regenerates one panel of Figure 9.
 func Fig9(im Impl, opts Fig9Opts) (Fig9Result, error) {
 	opts.defaults()
-	res := Fig9Result{Impl: im}
-	for _, servers := range opts.Servers {
-		spec := cluster.DevCluster().WithServers(servers)
-		series := stats.Series{Name: fmt.Sprintf("%d servers", servers)}
-		for _, clients := range opts.Clients {
-			var sample stats.Sample
-			for trial := 0; trial < opts.Trials; trial++ {
-				r, err := im.run(spec, checkpoint.Config{
-					Procs:        clients,
-					BytesPerProc: opts.BytesPerProc,
-					Seed:         int64(trial)*7919 + int64(clients),
-				})
-				if err != nil {
-					return res, fmt.Errorf("%s servers=%d clients=%d: %w", im, servers, clients, err)
-				}
-				sample.Add(r.ThroughputMBs())
-			}
-			opts.progress("fig9 %s servers=%d clients=%d: %s MB/s", im, servers, clients, sample.String())
-			series.Add(float64(clients), &sample)
-		}
-		res.Series = append(res.Series, series)
-	}
-	return res, nil
+	series, err := sweepServersClients(opts.Servers, opts.Clients, opts.Trials, opts.Progress, "fig9", string(im), "MB/s",
+		func(spec cluster.Spec, clients, trial int) (float64, error) {
+			r, err := im.run(spec, checkpoint.Config{
+				Procs:        clients,
+				BytesPerProc: opts.BytesPerProc,
+				Seed:         int64(trial)*7919 + int64(clients),
+			})
+			return r.ThroughputMBs(), err
+		})
+	return Fig9Result{Impl: im, Series: series}, err
 }
 
 // Fig10Opts parameterize the Figure 10 create-throughput sweep.
@@ -149,18 +152,10 @@ type Fig10Opts struct {
 }
 
 func (o *Fig10Opts) defaults() {
-	if len(o.Servers) == 0 {
-		o.Servers = DefaultServers
-	}
-	if len(o.Clients) == 0 {
-		o.Clients = DefaultClients
-	}
-	if o.Trials == 0 {
-		o.Trials = DefaultTrials
-	}
-	if o.OpsPerProc == 0 {
-		o.OpsPerProc = 32
-	}
+	o.Servers = orDefault(o.Servers, DefaultServers)
+	o.Clients = orDefault(o.Clients, DefaultClients)
+	o.Trials = cmp.Or(o.Trials, DefaultTrials)
+	o.OpsPerProc = cmp.Or(o.OpsPerProc, 32)
 }
 
 // Fig10Result holds the create-throughput series (ops/s vs clients) for one
@@ -175,36 +170,46 @@ type Fig10Result struct {
 func Fig10(system string, opts Fig10Opts) (Fig10Result, error) {
 	opts.defaults()
 	res := Fig10Result{System: system}
-	for _, servers := range opts.Servers {
-		spec := cluster.DevCluster().WithServers(servers)
-		series := stats.Series{Name: fmt.Sprintf("%d servers", servers)}
-		for _, clients := range opts.Clients {
-			var sample stats.Sample
-			for trial := 0; trial < opts.Trials; trial++ {
-				seed := int64(trial)*104729 + int64(clients)
-				var r checkpoint.CreateResult
-				var err error
-				switch system {
-				case "lwfs":
-					r, err = checkpoint.RunCreateOnlyLWFS(spec, clients, opts.OpsPerProc, seed)
-				case "lustre":
-					r, err = checkpoint.RunCreateOnlyPFS(spec, clients, opts.OpsPerProc, seed)
-				default:
-					return res, fmt.Errorf("figures: unknown system %q", system)
-				}
-				if err != nil {
-					return res, fmt.Errorf("%s servers=%d clients=%d: %w", system, servers, clients, err)
-				}
-				sample.Add(r.OpsPerSec)
-			}
-			if opts.Progress != nil {
-				opts.Progress("fig10 %s servers=%d clients=%d: %s ops/s", system, servers, clients, sample.String())
-			}
-			series.Add(float64(clients), &sample)
-		}
-		res.Series = append(res.Series, series)
+	run := map[string]func(cluster.Spec, int, int, int64) (checkpoint.CreateResult, error){
+		"lwfs":   checkpoint.RunCreateOnlyLWFS,
+		"lustre": checkpoint.RunCreateOnlyPFS,
+	}[system]
+	if run == nil {
+		return res, fmt.Errorf("figures: unknown system %q", system)
 	}
-	return res, nil
+	var err error
+	res.Series, err = sweepServersClients(opts.Servers, opts.Clients, opts.Trials, opts.Progress, "fig10", system, "ops/s",
+		func(spec cluster.Spec, clients, trial int) (float64, error) {
+			r, err := run(spec, clients, opts.OpsPerProc, int64(trial)*104729+int64(clients))
+			return r.OpsPerSec, err
+		})
+	return res, err
+}
+
+// sweepServersClients is the Figure 9/10 sweep: measure one value per
+// trial at every servers × clients point, one series per server count.
+// Errors and progress lines name the point as "<name> servers=S clients=C".
+func sweepServersClients(servers, clients []int, trials int, progress func(string, ...interface{}),
+	tag, name, unit string, measure func(spec cluster.Spec, clients, trial int) (float64, error)) ([]stats.Series, error) {
+	var out []stats.Series
+	for _, s := range servers {
+		spec := cluster.DevCluster().WithServers(s)
+		series := stats.Series{Name: fmt.Sprintf("%d servers", s)}
+		for _, c := range clients {
+			var sample stats.Sample
+			for trial := 0; trial < trials; trial++ {
+				v, err := measure(spec, c, trial)
+				if err != nil {
+					return out, fmt.Errorf("%s servers=%d clients=%d: %w", name, s, c, err)
+				}
+				sample.Add(v)
+			}
+			report(progress, "%s %s servers=%d clients=%d: %s %s", tag, name, s, c, sample.String(), unit)
+			series.Add(float64(c), &sample)
+		}
+		out = append(out, series)
+	}
+	return out, nil
 }
 
 // RenderSeries prints series as an aligned text table: one row per x, one

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -26,33 +27,21 @@ import (
 
 // MetaOpts parameterize the sweep.
 type MetaOpts struct {
-	Servers  int                                      // storage servers, one per node (default 6)
 	FileKB   int64                                    // per-file payload in KB (default 256)
 	Copies   []int                                    // metadata mirror counts (default 1,2,3)
 	Files    []int                                    // file counts for the re-homing sweep (default 4,8)
 	Trials   int                                      // trials per point (default 3)
 	Progress func(format string, args ...interface{}) // optional
-	// Metrics captures registry snapshots for the last trial of each
-	// degraded-open and re-homing point, for `lwfsbench -metrics`.
-	Metrics bool
 }
 
+// metaServers is the sweep's storage-server count, one per node.
+const metaServers = 6
+
 func (o *MetaOpts) defaults() {
-	if o.Servers == 0 {
-		o.Servers = 6
-	}
-	if o.FileKB == 0 {
-		o.FileKB = 256
-	}
-	if len(o.Copies) == 0 {
-		o.Copies = []int{1, 2, 3}
-	}
-	if len(o.Files) == 0 {
-		o.Files = []int{4, 8}
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	o.FileKB = cmp.Or(o.FileKB, 256)
+	o.Copies = orDefault(o.Copies, []int{1, 2, 3})
+	o.Files = orDefault(o.Files, []int{4, 8})
+	o.Trials = cmp.Or(o.Trials, 3)
 }
 
 // MetaWritePoint is one mirror count's metadata write cost: transactional
@@ -91,7 +80,7 @@ type MetaResult struct {
 	Writes   []MetaWritePoint
 	Opens    []MetaOpenPoint
 	Rebuilds []MetaRebuildPoint
-	Captures []MetricsCapture // when Opts.Metrics is set
+	Captures []MetricsCapture // each degraded-open and re-homing point, last trial
 }
 
 // metaRetry arms sweep clients so RPCs against a crashed mirror server time
@@ -137,15 +126,13 @@ func MetaSweep(opts MetaOpts) (MetaResult, error) {
 			} else if m > 1 {
 				op.DegradedMs.Add(out.degradedMs)
 			}
-			if opts.Metrics && trial == opts.Trials-1 {
+			if trial == opts.Trials-1 {
 				mc.Label = fmt.Sprintf("degraded-open copies=%d", m)
 				res.Captures = append(res.Captures, mc)
 			}
 		}
-		if opts.Progress != nil {
-			opts.Progress("meta copies=%d: create %s ms, flush %s ms, open %s ms, degraded %s ms (%d unavailable)",
-				m, wp.CreateMs.String(), wp.FlushMs.String(), op.HealthyMs.String(), op.DegradedMs.String(), op.Unavailable)
-		}
+		report(opts.Progress, "meta copies=%d: create %s ms, flush %s ms, open %s ms, degraded %s ms (%d unavailable)",
+			m, wp.CreateMs.String(), wp.FlushMs.String(), op.HealthyMs.String(), op.DegradedMs.String(), op.Unavailable)
 		res.Writes = append(res.Writes, wp)
 		res.Opens = append(res.Opens, op)
 	}
@@ -159,14 +146,12 @@ func MetaSweep(opts MetaOpts) (MetaResult, error) {
 			}
 			pt.Ms.Add(ms)
 			pt.Rehomed.Add(rehomed)
-			if opts.Metrics && trial == opts.Trials-1 {
+			if trial == opts.Trials-1 {
 				mc.Label = fmt.Sprintf("meta-rehome files=%d", n)
 				res.Captures = append(res.Captures, mc)
 			}
 		}
-		if opts.Progress != nil {
-			opts.Progress("meta rebuild files=%d: %s ms, %s mirrors re-homed", n, pt.Ms.String(), pt.Rehomed.String())
-		}
+		report(opts.Progress, "meta rebuild files=%d: %s ms, %s mirrors re-homed", n, pt.Ms.String(), pt.Rehomed.String())
 		res.Rebuilds = append(res.Rebuilds, pt)
 	}
 	return res, nil
@@ -187,55 +172,47 @@ type metaTrialOut struct {
 // a single record the post-crash open fails by design; that is recorded,
 // not treated as an error.
 func metaOpenTrial(opts MetaOpts, copies, trial int) (metaTrialOut, MetricsCapture, error) {
-	cl, lw := rebuildCluster(opts.Servers)
+	cl, lw := rebuildCluster(metaServers)
 	c := cl.NewClient(lw, 0)
 	c.SetRetry(metaRetry, int64(trial)+41)
 	var mc MetricsCapture
 	mc.Base = cl.Metrics().Snapshot()
 	bytes := opts.FileKB << 10
 	var out metaTrialOut
-	var trialErr error
-	cl.Spawn("bench", func(p *sim.Proc) {
+	err := runProc(cl.K, "bench", func(p *sim.Proc) error {
 		if err := c.Login(p, "app", "s3cret"); err != nil {
-			trialErr = err
-			return
+			return err
 		}
 		fs, err := lwfspfs.Format(p, c, fmt.Sprintf("/meta%d", trial), metaOptions(copies))
 		if err != nil {
-			trialErr = err
-			return
+			return err
 		}
 		path := fmt.Sprintf("/f-%d-%d.bin", copies, trial)
 		t0 := p.Now()
 		f, err := fs.Create(p, path)
 		if err != nil {
-			trialErr = err
-			return
+			return err
 		}
 		out.createMs = ms(p.Now().Sub(t0))
 		if _, err := f.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); err != nil {
-			trialErr = err
-			return
+			return err
 		}
 		// A one-byte append: the data RPC is constant-cost, so what scales
 		// with the mirror count is the metadata flush every size-changing
 		// write pays.
 		t0 = p.Now()
 		if _, err := f.WriteAt(p, bytes, netsim.SyntheticPayload(1)); err != nil {
-			trialErr = err
-			return
+			return err
 		}
 		out.flushMs = ms(p.Now().Sub(t0))
 		if err := f.Close(p); err != nil {
-			trialErr = err
-			return
+			return err
 		}
 
 		t0 = p.Now()
 		g, err := fs.Open(p, path)
 		if err != nil {
-			trialErr = fmt.Errorf("healthy open: %w", err)
-			return
+			return fmt.Errorf("healthy open: %w", err)
 		}
 		out.healthyMs = ms(p.Now().Sub(t0))
 
@@ -244,18 +221,15 @@ func metaOpenTrial(opts MetaOpts, copies, trial int) (metaTrialOut, MetricsCaptu
 		if _, err := fs.Open(p, path); err != nil {
 			if copies == 1 {
 				out.unavailable = true
-				return
+				return nil
 			}
-			trialErr = fmt.Errorf("degraded open: %w", err)
-			return
+			return fmt.Errorf("degraded open: %w", err)
 		}
 		out.degradedMs = ms(p.Now().Sub(t0))
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return out, mc, err
-	}
 	mc.Final = cl.Metrics().Snapshot()
-	return out, mc, trialErr
+	return out, mc, err
 }
 
 // metaRebuildTrial creates n files on a two-mirror mount, crashes the server
@@ -263,21 +237,18 @@ func metaOpenTrial(opts MetaOpts, copies, trial int) (metaTrialOut, MetricsCaptu
 // file — re-homing lost metadata mirrors (and repairing any data copies the
 // dead server held) onto the survivors.
 func metaRebuildTrial(opts MetaOpts, n, trial int) (msTotal, rehomed float64, mc MetricsCapture, err error) {
-	cl, lw := rebuildCluster(opts.Servers)
+	cl, lw := rebuildCluster(metaServers)
 	c := cl.NewClient(lw, 0)
 	c.SetRetry(metaRetry, int64(trial)+53)
 	mc.Base = cl.Metrics().Snapshot()
 	bytes := opts.FileKB << 10
-	var trialErr error
-	cl.Spawn("bench", func(p *sim.Proc) {
+	err = runProc(cl.K, "bench", func(p *sim.Proc) error {
 		if err := c.Login(p, "app", "s3cret"); err != nil {
-			trialErr = err
-			return
+			return err
 		}
 		fs, err := lwfspfs.Format(p, c, fmt.Sprintf("/rehome%d", trial), metaOptions(2))
 		if err != nil {
-			trialErr = err
-			return
+			return err
 		}
 		var dead storage.Target
 		paths := make([]string, n)
@@ -285,16 +256,13 @@ func metaRebuildTrial(opts MetaOpts, n, trial int) (msTotal, rehomed float64, mc
 			paths[i] = fmt.Sprintf("/f-%d-%d.bin", i, trial)
 			f, err := fs.Create(p, paths[i])
 			if err != nil {
-				trialErr = err
-				return
+				return err
 			}
 			if _, err := f.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); err != nil {
-				trialErr = err
-				return
+				return err
 			}
 			if err := f.Close(p); err != nil {
-				trialErr = err
-				return
+				return err
 			}
 			if i == 0 {
 				dead = storage.TargetOf(f.MetaRefs()[0])
@@ -304,18 +272,15 @@ func metaRebuildTrial(opts MetaOpts, n, trial int) (msTotal, rehomed float64, mc
 		t0 := p.Now()
 		for _, path := range paths {
 			if err := fs.Rebuild(p, path, dead, nil); err != nil {
-				trialErr = fmt.Errorf("rebuild %s: %w", path, err)
-				return
+				return fmt.Errorf("rebuild %s: %w", path, err)
 			}
 		}
 		msTotal = ms(p.Now().Sub(t0))
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return 0, 0, mc, err
-	}
 	mc.Final = cl.Metrics().Snapshot()
 	rehomed = mc.Final.Sum("rebuild.meta_rehomed") - mc.Base.Sum("rebuild.meta_rehomed")
-	return msTotal, rehomed, mc, trialErr
+	return msTotal, rehomed, mc, err
 }
 
 // ms converts a simulated duration to fractional milliseconds.
@@ -324,7 +289,7 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 // Render prints the three tables.
 func (r MetaResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Replicated metadata: %d servers, %d KB files, replica-2 data, %d trials\n",
-		r.Opts.Servers, r.Opts.FileKB, r.Opts.Trials)
+		metaServers, r.Opts.FileKB, r.Opts.Trials)
 
 	fmt.Fprintln(w, "\n## create / metadata-flush latency vs mirror count")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

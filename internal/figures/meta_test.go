@@ -14,11 +14,10 @@ import (
 // lost mirrors, and the metadata instruments move.
 func TestMetaSweepShape(t *testing.T) {
 	opts := figures.MetaOpts{
-		FileKB:  128,
-		Copies:  []int{1, 2, 3},
-		Files:   []int{2, 4},
-		Trials:  1,
-		Metrics: true,
+		FileKB: 128,
+		Copies: []int{1, 2, 3},
+		Files:  []int{2, 4},
+		Trials: 1,
 	}
 	res, err := figures.MetaSweep(opts)
 	if err != nil {

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -37,44 +38,25 @@ import (
 
 // QoSOpts parameterizes the QoS sweep.
 type QoSOpts struct {
-	Procs        int   // large-tenant checkpoint processes
-	Servers      int   // storage servers
-	BytesPerProc int64 // large-tenant dump size per process
-	// StageCapacity bounds the burst tier's write-behind window; sized
-	// below Procs*BytesPerProc it forces part of the checkpoint into
-	// synchronous pass-through, the interesting contention regime.
-	StageCapacity   int64
-	InteractiveSize int64         // small-tenant write size
-	InteractiveGap  time.Duration // small-tenant inter-arrival gap
-	Trials          int
-	Progress        func(format string, args ...interface{}) // optional
-	// Metrics captures a registry snapshot pair for the last trial of
-	// every mode, rendered by `lwfsbench -metrics`.
-	Metrics bool
+	Trials   int
+	Progress func(format string, args ...interface{}) // optional
 }
 
+// The QoS sweep's fixed workload.
+const (
+	qosProcs        = 8       // large-tenant checkpoint processes
+	qosServers      = 2       // storage servers
+	qosBytesPerProc = 4 << 20 // large-tenant dump size per process
+	// qosStageCapacity bounds the burst tier's write-behind window; sized
+	// below qosProcs*qosBytesPerProc it forces part of the checkpoint into
+	// synchronous pass-through, the interesting contention regime.
+	qosStageCapacity   = 8 << 20
+	qosInteractiveSize = 64 << 10             // small-tenant write size
+	qosInteractiveGap  = 2 * time.Millisecond // small-tenant inter-arrival gap
+)
+
 func (o *QoSOpts) defaults() {
-	if o.Procs == 0 {
-		o.Procs = 8
-	}
-	if o.Servers == 0 {
-		o.Servers = 2
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = 4 << 20
-	}
-	if o.StageCapacity == 0 {
-		o.StageCapacity = 8 << 20
-	}
-	if o.InteractiveSize == 0 {
-		o.InteractiveSize = 64 << 10
-	}
-	if o.InteractiveGap == 0 {
-		o.InteractiveGap = 2 * time.Millisecond
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	o.Trials = cmp.Or(o.Trials, 3)
 }
 
 // QoSPoint is part A's measurement for one admission configuration.
@@ -99,7 +81,7 @@ type QoSResult struct {
 	Opts     QoSOpts
 	Points   []QoSPoint
 	Breaker  []QoSBreakerPoint
-	Captures []MetricsCapture
+	Captures []MetricsCapture // one per part-A mode, last trial
 }
 
 // qosModes maps each part-A configuration onto the two knobs it flips.
@@ -120,39 +102,40 @@ func QoSSweep(opts QoSOpts) (QoSResult, error) {
 	for _, mode := range qosModes {
 		point := QoSPoint{Mode: mode.name}
 		for trial := 0; trial < opts.Trials; trial++ {
-			if err := qosFairTrial(&opts, mode.admission, mode.yield, trial, &point, &res); err != nil {
+			mc, err := qosFairTrial(mode.admission, mode.yield, trial, &point)
+			if err != nil {
 				return res, fmt.Errorf("qos %s trial %d: %w", mode.name, trial, err)
 			}
+			if trial == opts.Trials-1 {
+				mc.Label = "qos mode=" + mode.name
+				res.Captures = append(res.Captures, mc)
+			}
 		}
-		if opts.Progress != nil {
-			opts.Progress("qos %-9s: interactive p50 %.2f ms p99 %.2f ms, durable %.0f ms",
-				mode.name, point.Lat.Percentile(50), point.Lat.Percentile(99), point.Durable.Mean())
-		}
+		report(opts.Progress, "qos %-9s: interactive p50 %.2f ms p99 %.2f ms, durable %.0f ms",
+			mode.name, point.Lat.Percentile(50), point.Lat.Percentile(99), point.Durable.Mean())
 		res.Points = append(res.Points, point)
 	}
 	for _, armed := range []bool{false, true} {
 		point := QoSBreakerPoint{Breaker: armed}
 		for trial := 0; trial < opts.Trials; trial++ {
-			if err := qosBreakerTrial(&opts, armed, trial, &point); err != nil {
+			if err := qosBreakerTrial(armed, trial, &point); err != nil {
 				return res, fmt.Errorf("qos breaker=%v trial %d: %w", armed, trial, err)
 			}
 		}
-		if opts.Progress != nil {
-			opts.Progress("qos breaker=%-5v: p50 %.2f ms p99 %.2f ms, %.0f full-timeout waits",
-				armed, point.Lat.Percentile(50), point.Lat.Percentile(99), point.Timeouts.Mean())
-		}
+		report(opts.Progress, "qos breaker=%-5v: p50 %.2f ms p99 %.2f ms, %.0f full-timeout waits",
+			armed, point.Lat.Percentile(50), point.Lat.Percentile(99), point.Timeouts.Mean())
 		res.Breaker = append(res.Breaker, point)
 	}
 	return res, nil
 }
 
 // qosFairTrial runs one part-A trial: checkpoint through the burst tier
-// with an interactive tenant alongside.
-func qosFairTrial(opts *QoSOpts, admission, yield bool, trial int, point *QoSPoint, res *QoSResult) error {
-	spec := cluster.DevCluster().WithServers(opts.Servers)
-	spec.ComputeNodes = opts.Procs + 1 // last node hosts the interactive tenant
+// with an interactive tenant alongside, and returns its registry capture.
+func qosFairTrial(admission, yield bool, trial int, point *QoSPoint) (MetricsCapture, error) {
+	spec := cluster.DevCluster().WithServers(qosServers)
+	spec.ComputeNodes = qosProcs + 1 // last node hosts the interactive tenant
 	spec.BurstNodes = 1
-	spec.Burst.StageCapacity = opts.StageCapacity
+	spec.Burst.StageCapacity = qosStageCapacity
 	spec.Burst.NoDrainYield = !yield
 	// One service thread per storage server: requests queue in front of the
 	// RPC dispatch (where admission can reorder them) instead of fanning
@@ -170,14 +153,14 @@ func qosFairTrial(opts *QoSOpts, admission, yield bool, trial int, point *QoSPoi
 	base := cl.Metrics().Snapshot()
 
 	ckCfg := checkpoint.Config{
-		Procs:        opts.Procs,
-		BytesPerProc: opts.BytesPerProc,
+		Procs:        qosProcs,
+		BytesPerProc: qosBytesPerProc,
 		Seed:         int64(trial)*104729 + 17,
 		Burst:        l.BurstTargets(),
 	}
 	ckRes, err := checkpoint.SetupLWFS(cl, l, ckCfg)
 	if err != nil {
-		return err
+		return MetricsCapture{}, err
 	}
 
 	// The interactive tenant: its own container, steady small writes to
@@ -185,67 +168,48 @@ func qosFairTrial(opts *QoSOpts, admission, yield bool, trial int, point *QoSPoi
 	// (so every sample sees contention; an iteration cap bounds the loop
 	// if the checkpoint aborts).
 	var trialLat stats.Sample
-	var ierr error
-	cl.Spawn("interactive", func(p *sim.Proc) {
-		c := cl.NewClient(l, opts.Procs)
-		if ierr = c.Login(p, "ia", "s3cret"); ierr != nil {
-			return
+	err = runProc(cl.K, "interactive", func(p *sim.Proc) error {
+		c := cl.NewClient(l, qosProcs)
+		if err := c.Login(p, "ia", "s3cret"); err != nil {
+			return err
 		}
 		cid, err := c.CreateContainer(p)
 		if err != nil {
-			ierr = err
-			return
+			return err
 		}
 		caps, err := c.GetCaps(p, cid, authz.OpCreate, authz.OpWrite)
 		if err != nil {
-			ierr = err
-			return
+			return err
 		}
 		ref, err := c.CreateObject(p, c.Server(0), caps)
 		if err != nil {
-			ierr = err
-			return
+			return err
 		}
 		for i := 0; i < 4000 && ckRes.Durable == 0; i++ {
 			start := p.Now()
-			if _, err := c.Write(p, ref, caps, 0, netsim.SyntheticPayload(opts.InteractiveSize)); err != nil {
-				ierr = err
-				return
+			if _, err := c.Write(p, ref, caps, 0, netsim.SyntheticPayload(qosInteractiveSize)); err != nil {
+				return err
 			}
 			trialLat.Add(float64(p.Now().Sub(start)) / float64(time.Millisecond))
-			p.Sleep(opts.InteractiveGap)
+			p.Sleep(qosInteractiveGap)
 		}
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return err
-	}
-	if ierr != nil {
-		return fmt.Errorf("interactive tenant: %w", ierr)
+	if err != nil {
+		return MetricsCapture{}, err
 	}
 	if ckRes.Aborted {
-		return errors.New("healthy checkpoint aborted")
+		return MetricsCapture{}, errors.New("healthy checkpoint aborted")
 	}
 	if trialLat.N() < 20 {
-		return fmt.Errorf("only %d interactive samples overlapped the checkpoint", trialLat.N())
+		return MetricsCapture{}, fmt.Errorf("only %d interactive samples overlapped the checkpoint", trialLat.N())
 	}
 	point.Lat.Merge(&trialLat)
 	point.Durable.Add(float64(ckRes.Durable) / float64(time.Millisecond))
 	snap := cl.Metrics().Snapshot()
 	point.Yields.Add(snap.Sum("burst.*.drain.yields"))
 	point.Shed.Add(snap.Sum("qos.*.shed"))
-	if opts.Metrics && trial == opts.Trials-1 {
-		mode := "off"
-		if admission {
-			mode = "fair"
-			if yield {
-				mode = "fair+prio"
-			}
-		}
-		res.Captures = append(res.Captures, MetricsCapture{
-			Label: "qos mode=" + mode, Base: base, Final: snap,
-		})
-	}
-	return nil
+	return MetricsCapture{Base: base, Final: snap}, nil
 }
 
 // Part B's fixed script: the preferred server is down for this window while
@@ -266,7 +230,7 @@ var qosFlapRetry = portals.RetryPolicy{
 
 // qosBreakerTrial runs one part-B trial: writes with manual failover while
 // server 0 is down for a 100 ms window.
-func qosBreakerTrial(opts *QoSOpts, armed bool, trial int, point *QoSBreakerPoint) error {
+func qosBreakerTrial(armed bool, trial int, point *QoSBreakerPoint) error {
 	spec := cluster.DevCluster().WithServers(2)
 	spec.ComputeNodes = 1
 	cl := cluster.New(spec)
@@ -283,39 +247,34 @@ func qosBreakerTrial(opts *QoSOpts, armed bool, trial int, point *QoSBreakerPoin
 
 	var trialLat stats.Sample
 	var timeouts, fastFails int
-	var ierr error
-	cl.Spawn("interactive", func(p *sim.Proc) {
+	err := runProc(cl.K, "interactive", func(p *sim.Proc) error {
 		c := cl.NewClient(l, 0)
 		c.SetRetry(qosFlapRetry, int64(trial)*7919+1)
 		if armed {
 			c.SetBreaker(qos.BreakerPolicy{Threshold: 2, Cooldown: 10 * time.Millisecond, MaxCooldown: 40 * time.Millisecond})
 		}
-		if ierr = c.Login(p, "ia", "s3cret"); ierr != nil {
-			return
+		if err := c.Login(p, "ia", "s3cret"); err != nil {
+			return err
 		}
 		cid, err := c.CreateContainer(p)
 		if err != nil {
-			ierr = err
-			return
+			return err
 		}
 		caps, err := c.GetCaps(p, cid, authz.OpCreate, authz.OpWrite)
 		if err != nil {
-			ierr = err
-			return
+			return err
 		}
 		refA, err := c.CreateObject(p, c.Server(0), caps)
 		if err != nil {
-			ierr = err
-			return
+			return err
 		}
 		refB, err := c.CreateObject(p, c.Server(1), caps)
 		if err != nil {
-			ierr = err
-			return
+			return err
 		}
 		for i := 0; i < qosFlapIters; i++ {
 			start := p.Now()
-			_, err := c.Write(p, refA, caps, 0, netsim.SyntheticPayload(opts.InteractiveSize))
+			_, err := c.Write(p, refA, caps, 0, netsim.SyntheticPayload(qosInteractiveSize))
 			if err != nil {
 				// ErrCircuitOpen wraps ErrRPCTimeout: test it first.
 				switch {
@@ -324,23 +283,19 @@ func qosBreakerTrial(opts *QoSOpts, armed bool, trial int, point *QoSBreakerPoin
 				case errors.Is(err, portals.ErrRPCTimeout):
 					timeouts++
 				default:
-					ierr = err
-					return
+					return err
 				}
-				if _, err := c.Write(p, refB, caps, 0, netsim.SyntheticPayload(opts.InteractiveSize)); err != nil {
-					ierr = err
-					return
+				if _, err := c.Write(p, refB, caps, 0, netsim.SyntheticPayload(qosInteractiveSize)); err != nil {
+					return err
 				}
 			}
 			trialLat.Add(float64(p.Now().Sub(start)) / float64(time.Millisecond))
 			p.Sleep(time.Millisecond)
 		}
+		return nil
 	})
-	if err := cl.Run(); err != nil {
+	if err != nil {
 		return err
-	}
-	if ierr != nil {
-		return fmt.Errorf("interactive tenant: %w", ierr)
 	}
 	point.Lat.Merge(&trialLat)
 	point.Timeouts.Add(float64(timeouts))
@@ -352,7 +307,7 @@ func qosBreakerTrial(opts *QoSOpts, armed bool, trial int, point *QoSBreakerPoin
 // acceptance headline.
 func (r QoSResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Multi-tenant QoS: %d-proc x %d MB checkpoint through 1 burst node (%d MB window) vs %d KB interactive writes, %d servers, %d trials\n",
-		r.Opts.Procs, r.Opts.BytesPerProc>>20, r.Opts.StageCapacity>>20, r.Opts.InteractiveSize>>10, r.Opts.Servers, r.Opts.Trials)
+		qosProcs, qosBytesPerProc>>20, qosStageCapacity>>20, qosInteractiveSize>>10, qosServers, r.Opts.Trials)
 	fmt.Fprintln(w, "# interactive-tenant write latency while the large tenant checkpoints")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "admission\tp50 (ms)\tp99 (ms)\tp99 vs off\tdurable (ms)\tdrain yields\tshed")

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -27,34 +28,23 @@ import (
 
 // RebuildOpts parameterize the sweep.
 type RebuildOpts struct {
-	Servers  int                                      // storage servers, one per node (default 4)
 	DataMB   int64                                    // per-layout payload in MB (default 8)
-	Unit     int64                                    // stripe unit (default 256 KiB)
 	Objects  []int                                    // layout counts for the rebuild-time sweep (default 4,8,16)
 	Trials   int                                      // trials per point (default 3)
-	Window   int                                      // engine fan-out window (0 = stripe default)
 	Progress func(format string, args ...interface{}) // optional
-	// Metrics captures registry snapshots for the last trial of each
-	// degraded-read and rebuild point, for `lwfsbench -metrics`.
-	Metrics bool
 }
 
+// The redundancy sweep's fixed cluster and layout shape. Engines use the
+// stripe package's default fan-out window.
+const (
+	rebuildServers = 4         // storage servers, one per node
+	rebuildUnit    = 256 << 10 // stripe unit
+)
+
 func (o *RebuildOpts) defaults() {
-	if o.Servers == 0 {
-		o.Servers = 4
-	}
-	if o.DataMB == 0 {
-		o.DataMB = 8
-	}
-	if o.Unit == 0 {
-		o.Unit = 256 << 10
-	}
-	if len(o.Objects) == 0 {
-		o.Objects = []int{4, 8, 16}
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	o.DataMB = cmp.Or(o.DataMB, 8)
+	o.Objects = orDefault(o.Objects, []int{4, 8, 16})
+	o.Trials = cmp.Or(o.Trials, 3)
 }
 
 // RebuildWritePoint is one scheme's full-stripe write bandwidth (logical
@@ -86,7 +76,7 @@ type RebuildResult struct {
 	Writes   []RebuildWritePoint
 	Reads    []RebuildReadPoint
 	Rebuilds []RebuildPoint
-	Captures []MetricsCapture // when Opts.Metrics is set
+	Captures []MetricsCapture // each degraded-read and rebuild point, last trial
 }
 
 // rebuildRetry arms clients in the crash phases so RPCs against the dead
@@ -110,15 +100,13 @@ func RebuildSweep(opts RebuildOpts) (RebuildResult, error) {
 	for _, scheme := range schemes {
 		pt := RebuildWritePoint{Scheme: scheme}
 		for trial := 0; trial < opts.Trials; trial++ {
-			mbs, _, err := rebuildWriteTrial(opts, scheme, trial)
+			mbs, err := rebuildWriteTrial(opts, scheme, trial)
 			if err != nil {
 				return res, fmt.Errorf("rebuild write %s trial %d: %w", scheme, trial, err)
 			}
 			pt.MBs.Add(mbs)
 		}
-		if opts.Progress != nil {
-			opts.Progress("rebuild write %s: %s MB/s", scheme, pt.MBs.String())
-		}
+		report(opts.Progress, "rebuild write %s: %s MB/s", scheme, pt.MBs.String())
 		res.Writes = append(res.Writes, pt)
 	}
 
@@ -131,15 +119,13 @@ func RebuildSweep(opts RebuildOpts) (RebuildResult, error) {
 			}
 			pt.HealthyMs.Add(h)
 			pt.DegradedMs.Add(d)
-			if opts.Metrics && trial == opts.Trials-1 {
+			if trial == opts.Trials-1 {
 				mc.Label = fmt.Sprintf("degraded-read scheme=%s", scheme)
 				res.Captures = append(res.Captures, mc)
 			}
 		}
-		if opts.Progress != nil {
-			opts.Progress("degraded read %s: healthy %s ms, degraded %s ms", scheme,
-				pt.HealthyMs.String(), pt.DegradedMs.String())
-		}
+		report(opts.Progress, "degraded read %s: healthy %s ms, degraded %s ms", scheme,
+			pt.HealthyMs.String(), pt.DegradedMs.String())
 		res.Reads = append(res.Reads, pt)
 	}
 
@@ -152,14 +138,12 @@ func RebuildSweep(opts RebuildOpts) (RebuildResult, error) {
 			}
 			pt.Ms.Add(ms)
 			pt.RepairMBs.Add(mbs)
-			if opts.Metrics && trial == opts.Trials-1 {
+			if trial == opts.Trials-1 {
 				mc.Label = fmt.Sprintf("rebuild objects=%d", n)
 				res.Captures = append(res.Captures, mc)
 			}
 		}
-		if opts.Progress != nil {
-			opts.Progress("rebuild objs=%d: %s ms, %s MB/s", n, pt.Ms.String(), pt.RepairMBs.String())
-		}
+		report(opts.Progress, "rebuild objs=%d: %s ms, %s MB/s", n, pt.Ms.String(), pt.RepairMBs.String())
 		res.Rebuilds = append(res.Rebuilds, pt)
 	}
 	return res, nil
@@ -210,109 +194,91 @@ func crashServer(l *cluster.LWFS, t storage.Target) {
 }
 
 // rebuildWriteTrial measures one full-stripe write's logical bandwidth.
-func rebuildWriteTrial(opts RebuildOpts, scheme string, trial int) (float64, MetricsCapture, error) {
-	cl, lw := rebuildCluster(opts.Servers)
+func rebuildWriteTrial(opts RebuildOpts, scheme string, trial int) (float64, error) {
+	cl, lw := rebuildCluster(rebuildServers)
 	c := cl.NewClient(lw, 0)
 	bytes := opts.DataMB << 20
 	var mbs float64
-	var trialErr error
-	cl.Spawn("bench", func(p *sim.Proc) {
+	err := runProc(cl.K, "bench", func(p *sim.Proc) error {
 		caps, err := rebuildLogin(p, c)
 		if err != nil {
-			trialErr = err
-			return
+			return err
 		}
-		l, err := rebuildLayout(p, c, caps, scheme, trial, opts.Unit, bytes)
+		l, err := rebuildLayout(p, c, caps, scheme, trial, rebuildUnit, bytes)
 		if err != nil {
-			trialErr = err
-			return
+			return err
 		}
-		eng := stripe.NewEngine(c, caps, opts.Window)
+		eng := stripe.NewEngine(c, caps, 0)
 		t0 := p.Now()
 		if _, err := eng.WriteAt(p, l, 0, netsim.SyntheticPayload(bytes)); err != nil {
-			trialErr = err
-			return
+			return err
 		}
 		mbs = float64(bytes) / (1 << 20) / p.Now().Sub(t0).Seconds()
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return 0, MetricsCapture{}, err
-	}
-	return mbs, MetricsCapture{}, trialErr
+	return mbs, err
 }
 
 // rebuildReadTrial measures one full read healthy, then crashes the server
 // behind the layout's second object and measures the degraded read.
 func rebuildReadTrial(opts RebuildOpts, scheme string, trial int) (healthyMs, degradedMs float64, mc MetricsCapture, err error) {
-	cl, lw := rebuildCluster(opts.Servers)
+	cl, lw := rebuildCluster(rebuildServers)
 	c := cl.NewClient(lw, 0)
 	c.SetRetry(rebuildRetry, int64(trial)+17)
 	mc.Base = cl.Metrics().Snapshot()
 	bytes := opts.DataMB << 20
-	var trialErr error
-	cl.Spawn("bench", func(p *sim.Proc) {
+	err = runProc(cl.K, "bench", func(p *sim.Proc) error {
 		caps, lerr := rebuildLogin(p, c)
 		if lerr != nil {
-			trialErr = lerr
-			return
+			return lerr
 		}
-		l, lerr := rebuildLayout(p, c, caps, scheme, trial, opts.Unit, bytes)
+		l, lerr := rebuildLayout(p, c, caps, scheme, trial, rebuildUnit, bytes)
 		if lerr != nil {
-			trialErr = lerr
-			return
+			return lerr
 		}
-		eng := stripe.NewEngine(c, caps, opts.Window)
+		eng := stripe.NewEngine(c, caps, 0)
 		if _, lerr := eng.WriteAt(p, l, 0, netsim.SyntheticPayload(bytes)); lerr != nil {
-			trialErr = lerr
-			return
+			return lerr
 		}
 		t0 := p.Now()
 		if _, lerr := eng.ReadAt(p, l, 0, bytes); lerr != nil {
-			trialErr = fmt.Errorf("healthy read: %w", lerr)
-			return
+			return fmt.Errorf("healthy read: %w", lerr)
 		}
 		healthyMs = float64(p.Now().Sub(t0).Microseconds()) / 1000
 		crashServer(lw, storage.TargetOf(l.Objs[1]))
 		t0 = p.Now()
 		if _, lerr := eng.ReadAt(p, l, 0, bytes); lerr != nil {
-			trialErr = fmt.Errorf("degraded read: %w", lerr)
-			return
+			return fmt.Errorf("degraded read: %w", lerr)
 		}
 		degradedMs = float64(p.Now().Sub(t0).Microseconds()) / 1000
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return 0, 0, mc, err
-	}
 	mc.Final = cl.Metrics().Snapshot()
-	return healthyMs, degradedMs, mc, trialErr
+	return healthyMs, degradedMs, mc, err
 }
 
 // rebuildRepairTrial writes n parity layouts, crashes one server, and times
 // a Rebuilder repairing every layout that lost an object to it.
 func rebuildRepairTrial(opts RebuildOpts, n, trial int) (ms, mbs float64, mc MetricsCapture, err error) {
-	cl, lw := rebuildCluster(opts.Servers)
+	cl, lw := rebuildCluster(rebuildServers)
 	c := cl.NewClient(lw, 0)
 	c.SetRetry(rebuildRetry, int64(trial)+29)
 	mc.Base = cl.Metrics().Snapshot()
 	bytes := opts.DataMB << 20
-	var trialErr error
-	cl.Spawn("bench", func(p *sim.Proc) {
+	err = runProc(cl.K, "bench", func(p *sim.Proc) error {
 		caps, lerr := rebuildLogin(p, c)
 		if lerr != nil {
-			trialErr = lerr
-			return
+			return lerr
 		}
-		eng := stripe.NewEngine(c, caps, opts.Window)
+		eng := stripe.NewEngine(c, caps, 0)
 		layouts := make([]stripe.Layout, n)
 		for i := range layouts {
-			l, lerr := rebuildLayout(p, c, caps, "parity", i, opts.Unit, bytes)
+			l, lerr := rebuildLayout(p, c, caps, "parity", i, rebuildUnit, bytes)
 			if lerr != nil {
-				trialErr = lerr
-				return
+				return lerr
 			}
 			if _, lerr := eng.WriteAt(p, l, 0, netsim.SyntheticPayload(bytes)); lerr != nil {
-				trialErr = lerr
-				return
+				return lerr
 			}
 			layouts[i] = l
 		}
@@ -324,8 +290,7 @@ func rebuildRepairTrial(opts RebuildOpts, n, trial int) (ms, mbs float64, mc Met
 		for i, l := range layouts {
 			nl, lerr := rb.Rebuild(p, l, dead, c.Servers())
 			if lerr != nil {
-				trialErr = fmt.Errorf("layout %d: %w", i, lerr)
-				return
+				return fmt.Errorf("layout %d: %w", i, lerr)
 			}
 			for j := range l.Objs {
 				if storage.TargetOf(l.Objs[j]) == dead {
@@ -339,12 +304,10 @@ func rebuildRepairTrial(opts RebuildOpts, n, trial int) (ms, mbs float64, mc Met
 		if elapsed > 0 {
 			mbs = float64(rebuilt) / (1 << 20) / elapsed.Seconds()
 		}
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return 0, 0, mc, err
-	}
 	mc.Final = cl.Metrics().Snapshot()
-	return ms, mbs, mc, trialErr
+	return ms, mbs, mc, err
 }
 
 // rebuildLogin logs the bench client in and returns an all-ops capability
@@ -367,7 +330,7 @@ func rebuildLogin(p *sim.Proc, c *core.Client) (core.CapSet, error) {
 // Render prints the three tables.
 func (r RebuildResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Redundant stripe layouts: %d servers, %d MB per layout, unit %d KiB, %d trials\n",
-		r.Opts.Servers, r.Opts.DataMB, r.Opts.Unit>>10, r.Opts.Trials)
+		rebuildServers, r.Opts.DataMB, rebuildUnit>>10, r.Opts.Trials)
 
 	fmt.Fprintln(w, "\n## full-stripe write bandwidth (logical MB/s; redundancy is the gap)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

@@ -17,7 +17,6 @@ func TestRebuildSweepShape(t *testing.T) {
 		DataMB:  4,
 		Objects: []int{2, 4},
 		Trials:  1,
-		Metrics: true,
 	}
 	res, err := figures.RebuildSweep(opts)
 	if err != nil {

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -32,20 +33,29 @@ type RecoveryMedium struct {
 
 // RecoveryOpts parameterize the recovery sweep.
 type RecoveryOpts struct {
-	// Media lists the staging modes; defaults to memory-only plus journals
-	// on NVRAM-, SSD- and disk-class media (sync barrier 5 µs → 500 µs).
-	Media        []RecoveryMedium
-	Procs        int
-	Servers      int
-	BytesPerProc int64
-	DrainBW      float64       // per-worker drain throttle, bytes/s
-	CrashAt      time.Duration // buffer crash instant
-	RestartAt    time.Duration // buffer restart instant
-	Trials       int
-	Progress     func(format string, args ...interface{}) // optional
-	// Metrics captures registry snapshot pairs for the last trial of each
-	// medium (healthy and crash phases), for `lwfsbench -metrics`.
-	Metrics bool
+	Trials   int
+	Progress func(format string, args ...interface{}) // optional
+}
+
+// The recovery sweep's fixed workload: a small checkpoint through one
+// buffer whose throttled drain (~2 s per rank at 2 MB) leaves a wide
+// mid-drain window to crash inside.
+const (
+	recoveryProcs        = 4
+	recoveryServers      = 2
+	recoveryBytesPerProc = 2 << 20
+	recoveryDrainBW      = 1 << 20 // per-worker drain throttle, bytes/s
+	recoveryCrashAt      = 100 * time.Millisecond
+	recoveryRestartAt    = 200 * time.Millisecond
+)
+
+// recoveryMedia are the staging modes under test: memory-only plus journals
+// on NVRAM-, SSD- and disk-class media (sync barrier 5 µs → 500 µs).
+var recoveryMedia = []RecoveryMedium{
+	{Name: "memory"},
+	journalMedium("journal-nvram", 5*time.Microsecond),
+	journalMedium("journal-ssd", 25*time.Microsecond),
+	journalMedium("journal-disk", 500*time.Microsecond),
 }
 
 func journalMedium(name string, sync time.Duration) RecoveryMedium {
@@ -55,36 +65,7 @@ func journalMedium(name string, sync time.Duration) RecoveryMedium {
 }
 
 func (o *RecoveryOpts) defaults() {
-	if len(o.Media) == 0 {
-		o.Media = []RecoveryMedium{
-			{Name: "memory"},
-			journalMedium("journal-nvram", 5*time.Microsecond),
-			journalMedium("journal-ssd", 25*time.Microsecond),
-			journalMedium("journal-disk", 500*time.Microsecond),
-		}
-	}
-	if o.Procs == 0 {
-		o.Procs = 4
-	}
-	if o.Servers == 0 {
-		o.Servers = 2
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = 2 << 20
-	}
-	if o.DrainBW == 0 {
-		// ~2 s per rank at 2 MB: a wide mid-drain window to crash inside.
-		o.DrainBW = 1 << 20
-	}
-	if o.CrashAt == 0 {
-		o.CrashAt = 100 * time.Millisecond
-	}
-	if o.RestartAt == 0 {
-		o.RestartAt = 200 * time.Millisecond
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	o.Trials = cmp.Or(o.Trials, 3)
 }
 
 // RecoveryPoint is one medium's measurements.
@@ -101,22 +82,22 @@ type RecoveryPoint struct {
 type RecoveryResult struct {
 	Opts     RecoveryOpts
 	Points   []RecoveryPoint
-	Captures []MetricsCapture // filled when Opts.Metrics is set
+	Captures []MetricsCapture // healthy and crash phase of each medium, last trial
 }
 
 // RecoverySweep measures healthy and crashed checkpoint runs per medium.
 func RecoverySweep(opts RecoveryOpts) (RecoveryResult, error) {
 	opts.defaults()
 	res := RecoveryResult{Opts: opts}
-	for _, med := range opts.Media {
+	for _, med := range recoveryMedia {
 		point := RecoveryPoint{Medium: med}
 		for trial := 0; trial < opts.Trials; trial++ {
 			for _, crash := range []bool{false, true} {
-				r, mc, err := runRecoveryTrial(opts, med, trial, crash)
+				r, mc, err := runRecoveryTrial(med, trial, crash)
 				if err != nil {
 					return res, fmt.Errorf("recovery %s trial=%d crash=%v: %w", med.Name, trial, crash, err)
 				}
-				if opts.Metrics && trial == opts.Trials-1 {
+				if trial == opts.Trials-1 {
 					mc.Label = fmt.Sprintf("medium=%s crash=%v", med.Name, crash)
 					res.Captures = append(res.Captures, mc)
 				}
@@ -135,20 +116,18 @@ func RecoverySweep(opts RecoveryOpts) (RecoveryResult, error) {
 				}
 			}
 		}
-		if opts.Progress != nil {
-			opts.Progress("recovery %s: healthy durable %s ms, crash %d recovered / %d aborted",
-				med.Name, point.HealthyDurable.String(), point.Recovered, point.Aborted)
-		}
+		report(opts.Progress, "recovery %s: healthy durable %s ms, crash %d recovered / %d aborted",
+			med.Name, point.HealthyDurable.String(), point.Recovered, point.Aborted)
 		res.Points = append(res.Points, point)
 	}
 	return res, nil
 }
 
-func runRecoveryTrial(opts RecoveryOpts, med RecoveryMedium, trial int, crash bool) (checkpoint.Result, MetricsCapture, error) {
-	spec := cluster.DevCluster().WithServers(opts.Servers)
-	spec.ComputeNodes = opts.Procs
+func runRecoveryTrial(med RecoveryMedium, trial int, crash bool) (checkpoint.Result, MetricsCapture, error) {
+	spec := cluster.DevCluster().WithServers(recoveryServers)
+	spec.ComputeNodes = recoveryProcs
 	spec.BurstNodes = 1
-	spec.Burst.DrainBW = opts.DrainBW
+	spec.Burst.DrainBW = recoveryDrainBW
 	spec.BurstJournal = med.Journal
 	spec.BurstJournalDisk = med.Disk
 
@@ -157,8 +136,8 @@ func runRecoveryTrial(opts RecoveryOpts, med RecoveryMedium, trial int, crash bo
 	l := cl.DeployLWFS()
 	mc := MetricsCapture{Base: cl.Metrics().Snapshot()}
 	cfg := checkpoint.Config{
-		Procs:           opts.Procs,
-		BytesPerProc:    opts.BytesPerProc,
+		Procs:           recoveryProcs,
+		BytesPerProc:    recoveryBytesPerProc,
 		Seed:            int64(trial)*104729 + 17,
 		Burst:           l.BurstTargets(),
 		DrainTimeout:    300 * time.Millisecond,
@@ -167,9 +146,9 @@ func runRecoveryTrial(opts RecoveryOpts, med RecoveryMedium, trial int, crash bo
 	if crash {
 		bb := l.Burst[0]
 		cl.Spawn("chaos", func(p *sim.Proc) {
-			p.Sleep(opts.CrashAt)
+			p.Sleep(recoveryCrashAt)
 			bb.Crash()
-			p.Sleep(opts.RestartAt - opts.CrashAt)
+			p.Sleep(recoveryRestartAt - recoveryCrashAt)
 			if _, err := bb.Restart(p); err != nil {
 				panic(fmt.Sprintf("figures: buffer restart: %v", err))
 			}
@@ -191,7 +170,7 @@ func runRecoveryTrial(opts RecoveryOpts, med RecoveryMedium, trial int, crash bo
 // aborting, and what the recovery detour costs in durable time).
 func (r RecoveryResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Journaled staging under buffer crash: %d-process checkpoint, %d servers, %d MB/process, crash@%v restart@%v, %d trials\n",
-		r.Opts.Procs, r.Opts.Servers, r.Opts.BytesPerProc>>20, r.Opts.CrashAt, r.Opts.RestartAt, r.Opts.Trials)
+		recoveryProcs, recoveryServers, recoveryBytesPerProc>>20, recoveryCrashAt, recoveryRestartAt, r.Opts.Trials)
 	fmt.Fprintln(w, "# healthy columns: no-fault runs; crash columns: buffer crashed mid-drain and restarted")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "medium\tjournal sync\thealthy apparent (ms)\thealthy durable (ms)\tcrash outcome\tcrash durable (ms)\trecovery cost (ms)")

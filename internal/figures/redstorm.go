@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -36,29 +37,17 @@ type RedStormOpts struct {
 	// Buffers is the burst-tier node count for the staged arm (default 16:
 	// a 16:1 compute-to-buffer fan-in at 256 exact nodes).
 	Buffers  int
-	Seed     int64
 	Progress func(format string, args ...interface{}) // optional
-	// Metrics captures a registry snapshot pair per point for
-	// `lwfsbench -metrics`.
-	Metrics bool
 }
 
+// redStormSeed seeds every E22 point (E23 uses ckptIntervalSeed).
+const redStormSeed = 22
+
 func (o *RedStormOpts) defaults() {
-	if len(o.Exact) == 0 {
-		o.Exact = []int{1000, 2000, 5000, 10000}
-	}
-	if o.TotalRanks == 0 {
-		o.TotalRanks = 100000
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = 4 << 20
-	}
-	if o.Buffers == 0 {
-		o.Buffers = 16
-	}
-	if o.Seed == 0 {
-		o.Seed = 22
-	}
+	o.Exact = orDefault(o.Exact, []int{1000, 2000, 5000, 10000})
+	o.TotalRanks = cmp.Or(o.TotalRanks, 100000)
+	o.BytesPerProc = cmp.Or(o.BytesPerProc, 4<<20)
+	o.Buffers = cmp.Or(o.Buffers, 16)
 }
 
 // RedStormPoint is one (exact count, arm) measurement.
@@ -77,7 +66,7 @@ type RedStormPoint struct {
 type RedStormResult struct {
 	Opts     RedStormOpts
 	Points   []RedStormPoint
-	Captures []MetricsCapture
+	Captures []MetricsCapture // one per point
 }
 
 // RedStormSweep runs E22.
@@ -86,24 +75,20 @@ func RedStormSweep(opts RedStormOpts) (RedStormResult, error) {
 	res := RedStormResult{Opts: opts}
 	for _, exact := range opts.Exact {
 		for _, staged := range []bool{false, true} {
-			pt, mc, err := redStormPoint(opts, exact, staged)
+			pt, mc, err := redStormPoint(opts, exact, staged, redStormSeed)
 			if err != nil {
 				return res, fmt.Errorf("redstorm exact=%d staged=%v: %w", exact, staged, err)
 			}
 			res.Points = append(res.Points, pt)
-			if opts.Metrics {
-				res.Captures = append(res.Captures, mc)
-			}
-			if opts.Progress != nil {
-				opts.Progress("redstorm exact=%d staged=%v: apparent %v, durable %v, ack path %s",
-					exact, staged, pt.Apparent.Round(time.Millisecond), pt.Durable.Round(time.Millisecond), pt.AckPath)
-			}
+			res.Captures = append(res.Captures, mc)
+			report(opts.Progress, "redstorm exact=%d staged=%v: apparent %v, durable %v, ack path %s",
+				exact, staged, pt.Apparent.Round(time.Millisecond), pt.Durable.Round(time.Millisecond), pt.AckPath)
 		}
 	}
 	return res, nil
 }
 
-func redStormPoint(opts RedStormOpts, exact int, staged bool) (RedStormPoint, MetricsCapture, error) {
+func redStormPoint(opts RedStormOpts, exact int, staged bool, seed int64) (RedStormPoint, MetricsCapture, error) {
 	pt := RedStormPoint{Exact: exact, Staged: staged}
 	spec := cluster.RedStorm()
 	// Only the exact ranks need compute nodes; shadow sources are added by
@@ -127,7 +112,7 @@ func redStormPoint(opts RedStormOpts, exact int, staged bool) (RedStormPoint, Me
 	cfg := checkpoint.Config{
 		Procs:        exact,
 		BytesPerProc: opts.BytesPerProc,
-		Seed:         opts.Seed,
+		Seed:         seed,
 		DrainTimeout: -1, // a machine-size drain tail exceeds the 5s default
 		Sampled:      sampled,
 	}
@@ -157,8 +142,8 @@ func redStormPoint(opts RedStormOpts, exact int, staged bool) (RedStormPoint, Me
 
 	// Job-wide apparent/durable: slowest of the exact ranks and the shadow
 	// streams (shadow instants are absolute; dumps start jitter-close to 0).
-	pt.Apparent = maxDur(r.Elapsed, sl.ApparentEnd().Duration())
-	pt.Durable = maxDur(r.Durable, sl.DurableEnd().Duration())
+	pt.Apparent = max(r.Elapsed, sl.ApparentEnd().Duration())
+	pt.Durable = max(r.Durable, sl.DurableEnd().Duration())
 	if pt.Durable < pt.Apparent {
 		pt.Durable = pt.Apparent
 	}
@@ -168,16 +153,16 @@ func redStormPoint(opts RedStormOpts, exact int, staged bool) (RedStormPoint, Me
 	window := pt.Durable.Seconds()
 	if window > 0 {
 		for _, s := range l.Servers {
-			pt.DiskBusy = maxF(pt.DiskBusy, s.Device().DiskBusy().Seconds()/window)
+			pt.DiskBusy = max(pt.DiskBusy, s.Device().DiskBusy().Seconds()/window)
 		}
 		for _, ep := range cl.StorageN {
-			pt.StorNIC = maxF(pt.StorNIC, cl.Net.Node(ep.Node()).IngressBusy().Seconds()/window)
+			pt.StorNIC = max(pt.StorNIC, cl.Net.Node(ep.Node()).IngressBusy().Seconds()/window)
 		}
 		// Buffer acks return before drains: utilization over the apparent
 		// window is what gates them.
 		appWindow := pt.Apparent.Seconds()
 		for _, ep := range cl.BurstN {
-			pt.BufNIC = maxF(pt.BufNIC, cl.Net.Node(ep.Node()).IngressBusy().Seconds()/appWindow)
+			pt.BufNIC = max(pt.BufNIC, cl.Net.Node(ep.Node()).IngressBusy().Seconds()/appWindow)
 		}
 	}
 	pt.AckPath = "disk"
@@ -189,20 +174,6 @@ func redStormPoint(opts RedStormOpts, exact int, staged bool) (RedStormPoint, Me
 		Base:  base, Final: cl.Metrics().Snapshot(),
 	}
 	return pt, mc, nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Render prints the sweep, flagging the ack-bottleneck crossover.

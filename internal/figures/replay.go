@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -27,34 +28,21 @@ import (
 
 // ReplayOpts parameterize the sweep.
 type ReplayOpts struct {
-	Servers     int                                      // storage servers, one per node (default 8)
 	Traces      []string                                 // embedded trace names (default all)
 	Concurrency []int                                    // worker counts (default 1,4,16,64)
 	Clones      int                                      // trace copies per point (default 64)
-	TickMs      int                                      // metrics recorder interval (default 20ms)
 	Progress    func(format string, args ...interface{}) // optional
-	// Metrics captures a registry snapshot pair per point and keeps the
-	// highest-concurrency point's tick timeline per trace, for
-	// `lwfsbench -metrics`.
-	Metrics bool
 }
 
+const (
+	replayServers = 8                     // storage servers, one per node
+	replayTick    = 20 * time.Millisecond // metrics recorder interval
+)
+
 func (o *ReplayOpts) defaults() {
-	if o.Servers == 0 {
-		o.Servers = 8
-	}
-	if len(o.Traces) == 0 {
-		o.Traces = trace.ExampleNames()
-	}
-	if len(o.Concurrency) == 0 {
-		o.Concurrency = []int{1, 4, 16, 64}
-	}
-	if o.Clones == 0 {
-		o.Clones = 64
-	}
-	if o.TickMs == 0 {
-		o.TickMs = 20
-	}
+	o.Traces = orDefault(o.Traces, trace.ExampleNames())
+	o.Concurrency = orDefault(o.Concurrency, []int{1, 4, 16, 64})
+	o.Clones = cmp.Or(o.Clones, 64)
 }
 
 // ReplayPoint is one (trace, concurrency) measurement.
@@ -82,8 +70,8 @@ type ReplayTimeline struct {
 type ReplayResult struct {
 	Opts      ReplayOpts
 	Points    []ReplayPoint
-	Captures  []MetricsCapture // when Opts.Metrics is set
-	Timelines []ReplayTimeline // when Opts.Metrics is set
+	Captures  []MetricsCapture // one per point
+	Timelines []ReplayTimeline // the highest-concurrency point of each trace
 }
 
 // ReplaySweep replays every trace at every concurrency level.
@@ -101,17 +89,13 @@ func ReplaySweep(opts ReplayOpts) (ReplayResult, error) {
 				return res, fmt.Errorf("replay %s x%d: %w", name, workers, err)
 			}
 			res.Points = append(res.Points, pt)
-			if opts.Metrics {
-				mc.Label = fmt.Sprintf("replay %s x%d", name, workers)
-				res.Captures = append(res.Captures, mc)
-				if workers == opts.Concurrency[len(opts.Concurrency)-1] {
-					res.Timelines = append(res.Timelines, tl)
-				}
+			mc.Label = fmt.Sprintf("replay %s x%d", name, workers)
+			res.Captures = append(res.Captures, mc)
+			if workers == opts.Concurrency[len(opts.Concurrency)-1] {
+				res.Timelines = append(res.Timelines, tl)
 			}
-			if opts.Progress != nil {
-				opts.Progress("replay %s x%d: %d ops, %.1f MB, %.1f MB/s, p99 %.2f ms",
-					name, workers, pt.Ops, pt.MB, pt.MBps, pt.P99Ms)
-			}
+			report(opts.Progress, "replay %s x%d: %d ops, %.1f MB, %.1f MB/s, p99 %.2f ms",
+				name, workers, pt.Ops, pt.MB, pt.MBps, pt.P99Ms)
 		}
 	}
 	return res, nil
@@ -127,7 +111,7 @@ func replayTrial(opts ReplayOpts, tr *trace.Trace, name string, workers int) (Re
 	spec := cluster.DevCluster()
 	spec.ComputeNodes = workers
 	spec.ServersPerNode = 1
-	spec = spec.WithServers(opts.Servers)
+	spec = spec.WithServers(replayServers)
 	cl := cluster.New(spec)
 	cl.RegisterUser("app", "s3cret")
 	lw := cl.DeployLWFS()
@@ -140,20 +124,17 @@ func replayTrial(opts ReplayOpts, tr *trace.Trace, name string, workers int) (Re
 
 	var mc MetricsCapture
 	mc.Base = cl.Metrics().Snapshot()
-	rec := metrics.NewRecorder(cl.Metrics(), time.Duration(opts.TickMs)*time.Millisecond)
+	rec := metrics.NewRecorder(cl.Metrics(), replayTick)
 	tl := ReplayTimeline{Trace: name, Workers: workers, Rec: rec}
 
 	var res *trace.Result
-	var setupErr error
-	cl.Spawn("replay-setup", func(p *sim.Proc) {
+	err := runProc(cl.K, "replay-setup", func(p *sim.Proc) error {
 		if err := setupC.Login(p, "app", "s3cret"); err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		pfs, err := lwfspfs.Format(p, setupC, "/replay", lwfspfs.Options{StripeUnit: 64 << 10})
 		if err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		cid := pfs.Container()
 		// Workers mount in spawn order; each takes the next client. The
@@ -179,12 +160,10 @@ func replayTrial(opts ReplayOpts, tr *trace.Trace, name string, workers int) (Re
 			Metrics:     cl.Metrics(),
 			OnDone:      func(*sim.Proc) { stopRec() },
 		})
+		return nil
 	})
-	if err := cl.Run(); err != nil {
+	if err != nil {
 		return pt, mc, tl, err
-	}
-	if setupErr != nil {
-		return pt, mc, tl, setupErr
 	}
 	if err := res.Err(); err != nil {
 		return pt, mc, tl, err
@@ -203,20 +182,10 @@ func replayTrial(opts ReplayOpts, tr *trace.Trace, name string, workers int) (Re
 	return pt, mc, tl, nil
 }
 
-// replayTimelinePatterns are the trajectories worth plotting: replay
-// progress and client pressure against server queue backlog.
-var replayTimelinePatterns = []string{
-	"trace.replay.ops",
-	"trace.replay.bytes",
-	"trace.replay.active_clones",
-	"rpc.*.queue_depth",
-}
-
-// Render prints one table per trace plus, under Metrics, the recorded
-// backlog-over-time columns for the highest-concurrency run.
+// Render prints one table per trace.
 func (r ReplayResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Trace replay through the fs.FS facade: %d servers, %d clones per point\n",
-		r.Opts.Servers, r.Opts.Clones)
+		replayServers, r.Opts.Clones)
 	for _, name := range r.Opts.Traces {
 		fmt.Fprintf(w, "\n## %s\n", name)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -229,9 +198,5 @@ func (r ReplayResult) Render(w io.Writer) {
 				pt.Workers, pt.Ops, pt.Errors, pt.MB, pt.ElapsedMs, pt.MBps, pt.OpsPerSec, pt.P99Ms)
 		}
 		tw.Flush()
-	}
-	for _, tl := range r.Timelines {
-		fmt.Fprintf(w, "\n## %s x%d timeline\n", tl.Trace, tl.Workers)
-		tl.Rec.WriteColumns(w, replayTimelinePatterns...)
 	}
 }

@@ -15,7 +15,6 @@ func TestReplaySweepScales(t *testing.T) {
 		Traces:      []string{"jacobi"},
 		Concurrency: []int{1, 16},
 		Clones:      16,
-		Metrics:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,9 +56,14 @@ func TestReplaySweepScales(t *testing.T) {
 	var sb strings.Builder
 	res.Render(&sb)
 	out := sb.String()
-	for _, want := range []string{"## jacobi", "p99 op", "timeline", "trace.replay.ops"} {
+	for _, want := range []string{"## jacobi", "p99 op"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
+	}
+	sb.Reset()
+	res.Timelines[0].Rec.WriteColumns(&sb, "trace.replay.ops")
+	if !strings.Contains(sb.String(), "trace.replay.ops") {
+		t.Fatalf("timeline columns missing trace.replay.ops:\n%s", sb.String())
 	}
 }

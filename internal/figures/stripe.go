@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -26,23 +27,14 @@ type StripeOpts struct {
 	Units    []int64 // stripe units in bytes
 	FileMB   int64   // single file size in MB
 	Trials   int
-	Window   int                                      // engine in-flight bound (0 = stripe default)
 	Progress func(format string, args ...interface{}) // optional
 }
 
 func (o *StripeOpts) defaults() {
-	if len(o.Servers) == 0 {
-		o.Servers = []int{1, 2, 4, 8, 16}
-	}
-	if len(o.Units) == 0 {
-		o.Units = []int64{1 << 20}
-	}
-	if o.FileMB == 0 {
-		o.FileMB = 64
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	o.Servers = orDefault(o.Servers, []int{1, 2, 4, 8, 16})
+	o.Units = orDefault(o.Units, []int64{1 << 20})
+	o.FileMB = cmp.Or(o.FileMB, 64)
+	o.Trials = cmp.Or(o.Trials, 3)
 }
 
 // StripePoint is the measurement at one (server count, stripe unit):
@@ -76,7 +68,7 @@ func StripeSweep(opts StripeOpts) (StripeResult, error) {
 			point := StripePoint{Servers: servers, Unit: unit}
 			for trial := 0; trial < opts.Trials; trial++ {
 				for _, serial := range []bool{true, false} {
-					m, err := stripeTrial(servers, unit, opts.FileMB<<20, serial, opts.Window, trial)
+					m, err := stripeTrial(servers, unit, opts.FileMB<<20, serial, trial)
 					if err != nil {
 						return res, fmt.Errorf("stripe servers=%d unit=%d serial=%v trial=%d: %w",
 							servers, unit, serial, trial, err)
@@ -92,11 +84,9 @@ func StripeSweep(opts StripeOpts) (StripeResult, error) {
 					}
 				}
 			}
-			if opts.Progress != nil {
-				opts.Progress("stripe servers=%d unit=%dKiB: write %s -> %s MB/s, read %s -> %s MB/s",
-					servers, unit>>10, point.SerialWrite.String(), point.ParallelWrite.String(),
-					point.SerialRead.String(), point.ParallelRead.String())
-			}
+			report(opts.Progress, "stripe servers=%d unit=%dKiB: write %s -> %s MB/s, read %s -> %s MB/s",
+				servers, unit>>10, point.SerialWrite.String(), point.ParallelWrite.String(),
+				point.SerialRead.String(), point.ParallelRead.String())
 			res.Points = append(res.Points, point)
 		}
 	}
@@ -110,7 +100,7 @@ type stripeMeasure struct {
 	rpcs     int64 // storage RPCs in one steady-state WriteAt
 }
 
-func stripeTrial(servers int, unit, bytes int64, serial bool, window int, trial int) (stripeMeasure, error) {
+func stripeTrial(servers int, unit, bytes int64, serial bool, trial int) (stripeMeasure, error) {
 	var m stripeMeasure
 	spec := cluster.DevCluster().WithServers(servers)
 	spec.ComputeNodes = 1
@@ -125,51 +115,40 @@ func stripeTrial(servers int, unit, bytes int64, serial bool, window int, trial 
 	served := func() int64 {
 		return int64(cl.Metrics().Snapshot().Sum("rpc.*.served"))
 	}
-	var trialErr error
-	cl.Spawn("bench", func(p *sim.Proc) {
-		fail := func(stage string, err error) { trialErr = fmt.Errorf("%s: %w", stage, err) }
+	err := runProc(cl.K, "bench", func(p *sim.Proc) error {
 		if err := c.Login(p, "app", "s3cret"); err != nil {
-			fail("login", err)
-			return
+			return fmt.Errorf("login: %w", err)
 		}
-		fs, err := lwfspfs.Format(p, c, "/stripe", lwfspfs.Options{
-			StripeUnit: unit, Serial: serial, Window: window,
-		})
+		// Window 0: the engine's default in-flight bound.
+		fs, err := lwfspfs.Format(p, c, "/stripe", lwfspfs.Options{StripeUnit: unit, Serial: serial})
 		if err != nil {
-			fail("format", err)
-			return
+			return fmt.Errorf("format: %w", err)
 		}
 		f, err := fs.Create(p, fmt.Sprintf("/big%d", trial))
 		if err != nil {
-			fail("create", err)
-			return
+			return fmt.Errorf("create: %w", err)
 		}
 		// Priming write establishes the size so the measured passes are
 		// steady-state (no metadata RPC mixed into the measurement).
 		if _, err := f.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); err != nil {
-			fail("prime", err)
-			return
+			return fmt.Errorf("prime: %w", err)
 		}
 		before := served()
 		t0 := p.Now()
 		if _, err := f.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); err != nil {
-			fail("write", err)
-			return
+			return fmt.Errorf("write: %w", err)
 		}
 		elapsed := p.Now().Sub(t0)
 		m.rpcs = served() - before
 		m.writeMBs = float64(bytes) / (1 << 20) / elapsed.Seconds()
 		t0 = p.Now()
 		if _, err := f.ReadAt(p, 0, bytes); err != nil {
-			fail("read", err)
-			return
+			return fmt.Errorf("read: %w", err)
 		}
 		m.readMBs = float64(bytes) / (1 << 20) / p.Now().Sub(t0).Seconds()
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return m, err
-	}
-	return m, trialErr
+	return m, err
 }
 
 // Render prints the sweep: the speedup columns are the engine's payoff and

@@ -45,26 +45,21 @@ func Table2() (Table2Result, error) {
 	b.ServeEcho()
 	const xfer = 1 << 30
 	b.Attach(5, 1, 0, &portals.MD{Payload: netsim.SyntheticPayload(xfer)})
-	var benchErr error
-	k.Spawn("bench", func(p *sim.Proc) {
+	err := runProc(k, "bench", func(p *sim.Proc) error {
 		rtt, err := a.Echo(p, b.Node())
 		if err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		res.MeasuredLatency = rtt / 2
 		start := p.Now()
 		if _, err := a.Get(p, b.Node(), 5, 1, 0, xfer); err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		res.MeasuredLinkBW = xfer / p.Now().Sub(start).Seconds()
+		return nil
 	})
-	if err := k.Run(sim.MaxTime); err != nil {
+	if err != nil {
 		return res, err
-	}
-	if benchErr != nil {
-		return res, benchErr
 	}
 
 	// I/O-node RAID bandwidth through the full LWFS write path on a
@@ -76,38 +71,31 @@ func Table2() (Table2Result, error) {
 	cl.RegisterUser("bench", "bench")
 	l := cl.DeployLWFS()
 	c := cl.NewClient(l, 0)
-	cl.K.Spawn("bench", func(p *sim.Proc) {
+	err = runProc(cl.K, "bench", func(p *sim.Proc) error {
 		if err := c.Login(p, "bench", "bench"); err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		cid, err := c.CreateContainer(p)
 		if err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		caps, err := c.GetCaps(p, cid, authz.OpCreate, authz.OpWrite)
 		if err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		ref, err := c.CreateObject(p, c.Server(0), caps)
 		if err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		const size = 4 << 30
 		start := p.Now()
 		if _, err := c.Write(p, ref, caps, 0, netsim.SyntheticPayload(size)); err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		res.MeasuredDiskBW = size / p.Now().Sub(start).Seconds()
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return res, err
-	}
-	return res, benchErr
+	return res, err
 }
 
 // Render prints the configured-vs-measured comparison.
