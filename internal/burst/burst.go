@@ -10,9 +10,10 @@
 // burst of requests never overwhelms receive buffers. The client is
 // acknowledged as soon as the pull lands — long before the data is on
 // disk. A pool of background drain workers then streams staged extents to
-// the real storage servers with bounded in-flight RPCs, retry via
-// portals.RetryPolicy, and per-extent sync, releasing staging capacity as
-// extents become durable.
+// the real storage servers with bounded in-flight RPCs and per-extent sync,
+// releasing staging capacity as extents become durable. A drain write or
+// sync that fails is not retried: its extents are marked failed and
+// DrainWait reports ErrDrainFailed for them.
 //
 // Backpressure: when the staging area cannot hold a new extent, the write
 // degrades to a synchronous pass-through — the buffer pulls the data and
@@ -48,7 +49,6 @@ import (
 	"lwfs/internal/portals"
 	"lwfs/internal/qos"
 	"lwfs/internal/sim"
-	"lwfs/internal/stats"
 	"lwfs/internal/storage"
 )
 
@@ -74,8 +74,8 @@ var (
 	// never staged here at all. Either way the data's durability cannot be
 	// vouched for and the caller must treat the dump as aborted.
 	ErrLost = errors.New("burst: staged data lost (buffer crashed before drain?)")
-	// ErrDrainFailed is returned by DrainWait when a drain exhausted its
-	// retry budget against the backing storage server.
+	// ErrDrainFailed is returned by DrainWait when a drain write or sync
+	// against the backing storage server failed. Drains are not retried.
 	ErrDrainFailed = errors.New("burst: drain to storage failed")
 )
 
@@ -89,9 +89,6 @@ type Config struct {
 
 	DrainWorkers int     // concurrent drain streams (bounds in-flight RPCs)
 	DrainBW      float64 // drain pacing, bytes/s per worker (0 = unpaced)
-	// DrainRetry arms the drain path's storage RPCs; a lossy fabric between
-	// buffer and storage then costs drain latency, not staged data.
-	DrainRetry portals.RetryPolicy
 
 	// JournalRetain (journaled mode) is the size past which the journal is
 	// truncated at the next quiesce point (no staged extent un-drained).
@@ -238,7 +235,7 @@ type Server struct {
 // Start binds a memory-only burst server to ep's node at the given RPC
 // portal, with its capability-invalidation portal at port+1 and the
 // drain-wait portal at port+2. az verifies capabilities; drains go out
-// through a dedicated storage client armed with cfg.DrainRetry.
+// through a dedicated storage client.
 func Start(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, cfg Config) *Server {
 	return startServer(ep, az, rpcPort, cfg, nil)
 }
@@ -269,10 +266,6 @@ func startServer(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, 
 	caller := portals.NewCaller(ep)
 	caller.SetClass(qos.ClassBackground)
 	fgCaller := portals.NewCaller(ep)
-	if cfg.DrainRetry.Enabled() {
-		caller.SetRetry(cfg.DrainRetry, sim.NewRand(int64(ep.Node())))
-		fgCaller.SetRetry(cfg.DrainRetry, sim.NewRand(int64(ep.Node())+1))
-	}
 	s := &Server{
 		ep:           ep,
 		az:           az,
@@ -334,36 +327,11 @@ func (s *Server) Node() netsim.NodeID { return s.ep.Node() }
 // Config.QoS).
 func (s *Server) Admission() *qos.Admission { return s.adm }
 
-// DrainYields reports how many times a drain batch paused to let a
-// synchronous pass-through relay go first (`burst.<node>.drain.yields`).
-func (s *Server) DrainYields() int64 { return s.drainYields.Value() }
-
 // RPCPort returns the server's staging request portal.
 func (s *Server) RPCPort() portals.Index { return s.rpcPort }
 
 // Tgt returns the server's target descriptor.
 func (s *Server) Tgt() Target { return Target{Node: s.Node(), Port: s.rpcPort} }
-
-// Passthroughs reports writes that degraded to synchronous pass-through
-// because the staging window was full.
-func (s *Server) Passthroughs() int64 { return s.passthroughs.Value() }
-
-// StagedBytes and DrainedBytes report absorbed and drained volume.
-func (s *Server) StagedBytes() int64  { return s.stagedBytes.Value() }
-func (s *Server) DrainedBytes() int64 { return s.drainedBytes.Value() }
-
-// StageAvail reports the free staging window, bytes.
-func (s *Server) StageAvail() int64 { return s.stageAvail.Value() }
-
-// Coalesced reports extents the drain scheduler merged away (each saved
-// one storage write RPC). Reads the atomic `burst.<node>.drain.coalesced`
-// instrument, so it is safe from any goroutine.
-func (s *Server) Coalesced() int64 { return s.coalesced.Value() }
-
-// DrainSyncs reports flush barriers issued against storage servers (one
-// per drained batch, not per extent). Reads the atomic
-// `burst.<node>.drain.syncs` instrument.
-func (s *Server) DrainSyncs() int64 { return s.drainSyncs.Value() }
 
 // Journaled reports whether the server stages through a write-ahead
 // journal.
@@ -371,15 +339,6 @@ func (s *Server) Journaled() bool { return s.jdev != nil }
 
 // JournalDevice returns the journal device (nil in memory-only mode).
 func (s *Server) JournalDevice() *osd.Device { return s.jdev }
-
-// JournalTruncations reports how many times the journal was truncated at a
-// quiesce point.
-func (s *Server) JournalTruncations() int64 { return s.truncations.Value() }
-
-// DrainLatencies returns a copy of the per-extent staging-ack-to-durable
-// latencies observed so far, in milliseconds (the
-// `burst.<node>.drain.latency_ms` histogram).
-func (s *Server) DrainLatencies() *stats.Sample { return s.drainLat.Sample() }
 
 // Down reports whether the server is crashed.
 func (s *Server) Down() bool { return s.rpc.Down() }

@@ -96,15 +96,16 @@ func TestStageDrainRoundTrip(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	staged := r.Net.Metrics().Snapshot().Sum("burst.*.staged")
-	if staged != 1 || bb.Passthroughs() != 0 {
-		t.Fatalf("staged=%v passthroughs=%d, want 1/0", staged, bb.Passthroughs())
+	snap := r.Net.Metrics().Snapshot()
+	staged, passthroughs := snap.Sum("burst.*.staged"), snap.Sum("burst.*.passthroughs")
+	if staged != 1 || passthroughs != 0 {
+		t.Fatalf("staged=%v passthroughs=%v, want 1/0", staged, passthroughs)
 	}
-	if bb.DrainLatencies().N() != 1 || bb.DrainLatencies().Mean() <= 0 {
-		t.Fatalf("drain latency sample %v", bb.DrainLatencies())
+	if lat := snap.MergedHist("burst.*.drain.latency_ms"); lat.N() != 1 || lat.Mean() <= 0 {
+		t.Fatalf("drain latency sample %v", lat)
 	}
-	if bb.StageAvail() != burst.DefaultConfig().StageCapacity {
-		t.Fatalf("staging window not fully released: %d", bb.StageAvail())
+	if avail := snap.Sum("burst.*.stage_avail"); avail != float64(burst.DefaultConfig().StageCapacity) {
+		t.Fatalf("staging window not fully released: %v", avail)
 	}
 }
 
@@ -156,9 +157,10 @@ func TestBackpressurePassthrough(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	staged := r.Net.Metrics().Snapshot().Sum("burst.*.staged")
-	if staged != 1 || bb.Passthroughs() != 1 {
-		t.Fatalf("staged=%v passthroughs=%d, want 1/1", staged, bb.Passthroughs())
+	snap := r.Net.Metrics().Snapshot()
+	staged, passthroughs := snap.Sum("burst.*.staged"), snap.Sum("burst.*.passthroughs")
+	if staged != 1 || passthroughs != 1 {
+		t.Fatalf("staged=%v passthroughs=%v, want 1/1", staged, passthroughs)
 	}
 }
 

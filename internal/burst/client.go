@@ -57,7 +57,7 @@ func (c *Client) StageWrite(p *sim.Proc, t Target, ref storage.ObjRef, cap authz
 // attempt (a crashed buffer then surfaces as ErrRPCTimeout rather than a
 // hang); zero waits indefinitely. It fails with ErrLost when the buffer
 // cannot vouch for an extent (crash after staging) and ErrDrainFailed when
-// a drain exhausted its retries — in every failure case the caller must
+// a drain to storage failed — in every failure case the caller must
 // treat the covered data as not durable.
 func (c *Client) DrainWait(p *sim.Proc, t Target, refs []storage.ObjRef, timeout time.Duration) error {
 	req := drainWaitReq{Refs: refs}

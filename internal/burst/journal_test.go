@@ -132,7 +132,7 @@ func TestJournalTruncatesAtQuiesce(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	if bb.JournalTruncations() < 1 {
+	if r.Net.Metrics().Snapshot().Sum("burst.*.journal.truncations") < 1 {
 		t.Fatalf("journal never truncated despite quiesce past retain threshold")
 	}
 }
@@ -171,10 +171,11 @@ func TestDrainCoalescing(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	if bb.Coalesced() == 0 {
+	snap := r.Net.Metrics().Snapshot()
+	if snap.Sum("burst.*.drain.coalesced") == 0 {
 		t.Fatalf("no extents coalesced across %d contiguous stages", chunks)
 	}
-	if bb.DrainSyncs() >= chunks {
-		t.Fatalf("drain issued %d syncs for %d extents — batching did not engage", bb.DrainSyncs(), chunks)
+	if syncs := snap.Sum("burst.*.drain.syncs"); syncs >= chunks {
+		t.Fatalf("drain issued %v syncs for %d extents — batching did not engage", syncs, chunks)
 	}
 }

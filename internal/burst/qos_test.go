@@ -15,7 +15,7 @@ import (
 // drains are still streaming. With the yield fix the drain workers step
 // aside for the duration of the relay; NoDrainYield restores the old
 // inversion. Returns the observed yield count.
-func yieldScenario(t *testing.T, noYield bool) int64 {
+func yieldScenario(t *testing.T, noYield bool) float64 {
 	t.Helper()
 	cfg := burst.DefaultConfig()
 	cfg.StageCapacity = 256 << 10
@@ -58,11 +58,12 @@ func yieldScenario(t *testing.T, noYield bool) int64 {
 		}
 	})
 	r.Run(t)
-	staged := r.Net.Metrics().Snapshot().Sum("burst.*.staged")
-	if bb.Passthroughs() != 1 || staged != 4 {
-		t.Fatalf("passthroughs=%d staged=%v, want 1/4", bb.Passthroughs(), staged)
+	snap := r.Net.Metrics().Snapshot()
+	staged, passthroughs := snap.Sum("burst.*.staged"), snap.Sum("burst.*.passthroughs")
+	if passthroughs != 1 || staged != 4 {
+		t.Fatalf("passthroughs=%v staged=%v, want 1/4", passthroughs, staged)
 	}
-	return bb.DrainYields()
+	return snap.Sum("burst.*.drain.yields")
 }
 
 // TestDrainYieldsToPassthrough: the foreground/background inversion fix —
@@ -70,13 +71,13 @@ func yieldScenario(t *testing.T, noYield bool) int64 {
 // instead of competing with the one client actually waiting on storage.
 func TestDrainYieldsToPassthrough(t *testing.T) {
 	if n := yieldScenario(t, false); n < 1 {
-		t.Fatalf("drain never yielded to the pass-through relay (yields=%d)", n)
+		t.Fatalf("drain never yielded to the pass-through relay (yields=%v)", n)
 	}
 }
 
 // TestNoDrainYieldAblation: the ablation knob really disables the yield.
 func TestNoDrainYieldAblation(t *testing.T) {
 	if n := yieldScenario(t, true); n != 0 {
-		t.Fatalf("NoDrainYield set but drains yielded %d times", n)
+		t.Fatalf("NoDrainYield set but drains yielded %v times", n)
 	}
 }

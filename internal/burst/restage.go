@@ -152,7 +152,3 @@ func (s *Server) AdoptJournal(p *sim.Proc, jdev *osd.Device) (adopted int, err e
 	jdev.Sync(p)
 	return adopted, nil
 }
-
-// Adopted reports extents this buffer re-staged from dead peers' journals
-// (the `burst.<node>.adopted` instrument).
-func (s *Server) Adopted() int64 { return s.adopted.Value() }

@@ -75,8 +75,8 @@ func TestAdoptJournalRestagesOntoPeer(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	if bbB.Adopted() != 1 {
-		t.Fatalf("adopted counter = %d, want 1", bbB.Adopted())
+	if n := r.Net.Metrics().Snapshot().Value("burst." + r.Eps[3].NodeName() + ".adopted"); n != 1 {
+		t.Fatalf("adopted counter = %v, want 1", n)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestAdoptJournalRequiresJournaledAdopter(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	if bbC.Adopted() != 0 {
-		t.Fatalf("memory-only adopter counted %d extents, want 0", bbC.Adopted())
+	if n := r.Net.Metrics().Snapshot().Value("burst." + r.Eps[4].NodeName() + ".adopted"); n != 0 {
+		t.Fatalf("memory-only adopter counted %v extents, want 0", n)
 	}
 }
 

@@ -28,6 +28,7 @@ type burstOutcome struct {
 	manifest   checkpoint.Manifest
 	data       [][]byte
 	restoreErr error
+	cl         *cluster.Cluster
 	l          *cluster.LWFS
 	log        *testrig.ChaosLog
 }
@@ -43,7 +44,7 @@ func runBurstCheckpoint(t *testing.T, spec cluster.Spec, cfg checkpoint.Config, 
 	l := cl.DeployLWFS()
 	cfg.Burst = l.BurstTargets()
 
-	out := burstOutcome{l: l}
+	out := burstOutcome{cl: cl, l: l}
 	if chaos != nil {
 		out.log = testrig.RunChaos(cl.K, chaos(l)...)
 	}
@@ -158,13 +159,14 @@ func TestBurstBackpressureDegradesToPassthrough(t *testing.T) {
 	if out.restoreErr != nil {
 		t.Fatalf("restore: %v", out.restoreErr)
 	}
-	bb := out.l.Burst[0]
-	t.Logf("staged %d bytes, passthroughs %d, apparent %v, durable %v",
-		bb.StagedBytes(), bb.Passthroughs(), out.res.Elapsed, out.res.Durable)
-	if bb.Passthroughs() == 0 {
+	snap := out.cl.Metrics().Snapshot()
+	stagedBytes, passthroughs := snap.Sum("burst.*.staged_bytes"), snap.Sum("burst.*.passthroughs")
+	t.Logf("staged %v bytes, passthroughs %v, apparent %v, durable %v",
+		stagedBytes, passthroughs, out.res.Elapsed, out.res.Durable)
+	if passthroughs == 0 {
 		t.Fatalf("no pass-throughs despite a 2 MB window and an 8 MB burst")
 	}
-	if bb.StagedBytes() == 0 {
+	if stagedBytes == 0 {
 		t.Fatalf("nothing staged — scenario should mix staged and pass-through writes")
 	}
 	for rank, got := range out.data {

@@ -25,7 +25,6 @@ type RedundantDump struct {
 	Width  int   // data columns per rank (>= 1)
 	Copies int   // replica copies (Scheme Replica only; 0 = 2)
 	Unit   int64 // stripe unit, bytes (0 = 256 KiB)
-	Window int   // engine fan-out window (0 = 8)
 
 	// MetaCopies is how many mirrors of the v2 manifest the commit writes
 	// (0 = 2, 1 = the legacy single manifest object). Every mirror that
@@ -57,13 +56,6 @@ func (r *RedundantDump) unit() int64 {
 		return r.Unit
 	}
 	return 256 << 10
-}
-
-func (r *RedundantDump) window() int {
-	if r.Window > 0 {
-		return r.Window
-	}
-	return 8
 }
 
 // objects is the per-rank object count the scheme needs.
@@ -144,7 +136,7 @@ func dumpRedundant(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 	out.ref = objs[0]
 
 	t1 := p.Now()
-	eng := stripe.NewEngine(c, caps, r.window())
+	eng := stripe.NewEngine(c, caps, stripeWindow)
 	_, lost, err := eng.WriteAtTolerant(p, l, 0, payloadFor(rank, cfg))
 	for _, lt := range lost {
 		h.markFailed(core.TxnEndpointOf(lt))

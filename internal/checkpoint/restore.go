@@ -218,8 +218,9 @@ func readManifest(p *sim.Proc, c *core.Client, caps core.CapSet, refs []storage.
 	return netsim.Payload{}, fmt.Errorf("checkpoint: no manifest mirror reachable: %w", lastErr)
 }
 
-// restoreWindow bounds RestoreRead's fan-out for v2 layouts.
-const restoreWindow = 8
+// stripeWindow bounds the engine fan-out of redundant (v2) dumps and of
+// RestoreRead for v2 layouts.
+const stripeWindow = 8
 
 // RestoreRead reads one rank's checkpointed state: directly from its object
 // for v1 manifests, through the stripe engine for v2 — where a dead
@@ -230,7 +231,7 @@ func RestoreRead(p *sim.Proc, c *core.Client, caps core.CapSet, m Manifest, rank
 		return netsim.Payload{}, fmt.Errorf("checkpoint: rank %d out of range", rank)
 	}
 	if len(m.Layouts) > 0 {
-		eng := stripe.NewEngine(c, caps, restoreWindow)
+		eng := stripe.NewEngine(c, caps, stripeWindow)
 		return eng.ReadAt(p, m.Layouts[rank], 0, m.BytesPerProc)
 	}
 	return c.Read(p, m.Refs[rank], caps, 0, m.BytesPerProc)

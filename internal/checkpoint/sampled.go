@@ -69,51 +69,30 @@ const shadowAckSize int64 = 32
 // shadowContainer tags shadow objects on storage devices.
 const shadowContainer osd.ContainerID = 0x5AD0
 
+// The shadow load's shape.
+const (
+	// shadowSources is the number of aggregate injector nodes standing in
+	// for the shadow ranks' compute nodes. Each gets NIC bandwidth scaled
+	// by the ranks it represents.
+	shadowSources = 8
+	// shadowStreams is the number of concurrent shadow streams per target
+	// (storage server, or burst buffer in burst mode). Streams write their
+	// ranks sequentially with one chunk outstanding, so this bounds shadow
+	// data-plane concurrency per target.
+	shadowStreams = 2
+	// shadowChunkSize is the shadow wire chunk: the storage tier's
+	// default transfer granularity.
+	shadowChunkSize int64 = 1 << 20
+)
+
 // SampledRanks configures sampled-rank mode (Config.Sampled).
 type SampledRanks struct {
 	// TotalRanks is the full job size; TotalRanks-Procs ranks become
 	// shadow load. Must be >= Procs.
 	TotalRanks int
-	// Sources is the number of aggregate injector nodes standing in for
-	// the shadow ranks' compute nodes (default 8). Each gets NIC bandwidth
-	// scaled by the ranks it represents.
-	Sources int
-	// Streams is the number of concurrent shadow streams per target
-	// (storage server, or burst buffer in burst mode; default 2). Streams
-	// write their ranks sequentially with one chunk outstanding, so this
-	// bounds shadow data-plane concurrency per target.
-	Streams int
-	// ChunkSize is the shadow wire chunk (default 1 MiB, the storage
-	// tier's default transfer granularity).
-	ChunkSize int64
 	// DrainsPerBuffer is the burst-mode shadow drain concurrency per
 	// buffer (default 2, matching burst.DefaultConfig().DrainWorkers).
 	DrainsPerBuffer int
-	// Window bounds staged-but-undrained shadow bytes per buffer before
-	// the staging ack backpressures (default: the cluster's
-	// Spec.Burst.StageCapacity). Only meaningful in burst mode.
-	Window int64
-}
-
-func (s *SampledRanks) sources() int {
-	if s.Sources > 0 {
-		return s.Sources
-	}
-	return 8
-}
-
-func (s *SampledRanks) streams() int {
-	if s.Streams > 0 {
-		return s.Streams
-	}
-	return 2
-}
-
-func (s *SampledRanks) chunkSize() int64 {
-	if s.ChunkSize > 0 {
-		return s.ChunkSize
-	}
-	return 1 << 20
 }
 
 func (s *SampledRanks) drains() int {
@@ -255,7 +234,7 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 	if shadow == 0 || cfg.BytesPerProc == 0 {
 		return sl, nil
 	}
-	chunk := sr.chunkSize()
+	chunk := shadowChunkSize
 	k := cl.K
 	reg := cl.Metrics()
 	reg.GaugeFunc("shadow.bytes_acked", func() int64 { return sl.acked })
@@ -269,7 +248,7 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 		sink := &shadowSink{load: sl, dev: s.Device()}
 		port := shadowPortalBase + portals.Index(i%spn)
 		portals.Serve(cl.StorageN[i/spn], port, fmt.Sprintf("shadow/osd%d.%d", i/spn, i%spn),
-			sr.streams()+sr.drains(), sink.handle)
+			shadowStreams+sr.drains(), sink.handle)
 		storTargets[i] = shadowTarget{node: s.Node(), port: port}
 	}
 
@@ -278,13 +257,9 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 	burstMode := len(cfg.Burst) > 0 && len(l.Burst) > 0
 	nchunksPerRank := int((cfg.BytesPerProc + chunk - 1) / chunk)
 	if burstMode {
-		window := sr.Window
-		if window <= 0 {
-			window = cl.Spec.Burst.StageCapacity
-		}
-		if window < chunk {
-			window = chunk
-		}
+		// Staged-but-undrained shadow bytes per buffer before the staging
+		// ack backpressures: the buffers' own staging capacity.
+		window := max(cl.Spec.Burst.StageCapacity, chunk)
 		targets = make([]shadowTarget, len(l.Burst))
 		nbuf := len(l.Burst)
 		for bi, bs := range l.Burst {
@@ -294,7 +269,7 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 				opCost: cl.Spec.Burst.OpCost,
 			}
 			portals.Serve(cl.BurstN[bi], shadowPortalBase, fmt.Sprintf("shadow/bb%d", bi),
-				sr.streams()+2, buf.handle)
+				shadowStreams+2, buf.handle)
 			targets[bi] = shadowTarget{node: bs.Node(), port: shadowPortalBase}
 
 			// Drain pipeline: forward staged chunks to the storage sinks,
@@ -328,10 +303,7 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 	// ranks, with NIC bandwidth scaled to match (the compute partition's
 	// aggregate egress must not be the bottleneck — on the real machine
 	// it never is; the I/O partition saturates first).
-	nsrc := sr.sources()
-	if nsrc > shadow {
-		nsrc = shadow
-	}
+	nsrc := min(shadowSources, shadow)
 	perSource := float64((shadow + nsrc - 1) / nsrc)
 	callers := make([]*portals.Caller, nsrc)
 	for i := 0; i < nsrc; i++ {
@@ -343,20 +315,19 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 		callers[i] = portals.NewCaller(portals.NewEndpoint(cl.Net, nd))
 	}
 
-	// Streams: per target, sr.streams() sequential-rank writers, started
+	// Streams: per target, shadowStreams sequential-rank writers, started
 	// with the same jitter window the exact ranks use.
 	jmax := cfg.JitterMax
 	if jmax <= 0 {
 		jmax = time.Millisecond
 	}
 	rng := sim.NewRand(cfg.Seed ^ 0x5ad0_5eed)
-	streams := sr.streams()
 	src := 0
 	for ti := range targets {
 		tgt := targets[ti]
 		ranksHere := shadow/len(targets) + btoi(ti < shadow%len(targets))
-		for s := 0; s < streams; s++ {
-			myRanks := ranksHere/streams + btoi(s < ranksHere%streams)
+		for s := 0; s < shadowStreams; s++ {
+			myRanks := ranksHere/shadowStreams + btoi(s < ranksHere%shadowStreams)
 			delay := rng.Duration(jmax)
 			if myRanks == 0 {
 				continue

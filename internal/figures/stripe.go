@@ -7,10 +7,14 @@ import (
 	"text/tabwriter"
 
 	"lwfs/internal/cluster"
+	"lwfs/internal/core"
 	"lwfs/internal/lwfspfs"
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
 	"lwfs/internal/stats"
+	"lwfs/internal/storage"
+	"lwfs/internal/stripe"
+	"lwfs/internal/txn"
 )
 
 // The stripe sweep (experiment E17): single-large-file bandwidth through
@@ -19,7 +23,8 @@ import (
 // unit. The serial path pays one round trip per stripe unit in file order;
 // the engine plans one coalesced request per object and fans them out, so
 // bandwidth should scale with servers until the client NIC saturates —
-// the distribution-policy-as-a-library payoff of Figures 2/3.
+// the distribution-policy-as-a-library payoff of Figures 2/3. The serial
+// path is serialFile below: lwfspfs itself has only the engine.
 
 // StripeOpts parameterize the sweep.
 type StripeOpts struct {
@@ -119,8 +124,7 @@ func stripeTrial(servers int, unit, bytes int64, serial bool, trial int) (stripe
 		if err := c.Login(p, "app", "s3cret"); err != nil {
 			return fmt.Errorf("login: %w", err)
 		}
-		// Window 0: the engine's default in-flight bound.
-		fs, err := lwfspfs.Format(p, c, "/stripe", lwfspfs.Options{StripeUnit: unit, Serial: serial})
+		fs, err := lwfspfs.Format(p, c, "/stripe", lwfspfs.Options{StripeUnit: unit})
 		if err != nil {
 			return fmt.Errorf("format: %w", err)
 		}
@@ -133,22 +137,107 @@ func stripeTrial(servers int, unit, bytes int64, serial bool, trial int) (stripe
 		if _, err := f.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); err != nil {
 			return fmt.Errorf("prime: %w", err)
 		}
+		var arm stripeFile = f
+		if serial {
+			arm = serialFile{c: c, caps: fs.Caps(), f: f}
+		}
 		before := served()
 		t0 := p.Now()
-		if _, err := f.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); err != nil {
+		if _, err := arm.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); err != nil {
 			return fmt.Errorf("write: %w", err)
 		}
 		elapsed := p.Now().Sub(t0)
 		m.rpcs = served() - before
 		m.writeMBs = float64(bytes) / (1 << 20) / elapsed.Seconds()
 		t0 = p.Now()
-		if _, err := f.ReadAt(p, 0, bytes); err != nil {
+		if _, err := arm.ReadAt(p, 0, bytes); err != nil {
 			return fmt.Errorf("read: %w", err)
 		}
 		m.readMBs = float64(bytes) / (1 << 20) / p.Now().Sub(t0).Seconds()
 		return nil
 	})
 	return m, err
+}
+
+// stripeFile is the data path one E17 arm measures.
+type stripeFile interface {
+	WriteAt(p *sim.Proc, off int64, payload netsim.Payload) (int64, error)
+	ReadAt(p *sim.Proc, off, length int64) (netsim.Payload, error)
+}
+
+// serialFile is E17's baseline arm: the transfer path lwfspfs used before
+// the striped engine, one storage RPC per stripe unit in file order, under
+// the same file lock as File.WriteAt/ReadAt. It presents the mount's own
+// capabilities; fresh ones would miss the storage servers' capability
+// cache and slow the baseline. It moves data only: a RAID-0 layout, and
+// writes within the size the file already has.
+type serialFile struct {
+	c    *core.Client
+	caps core.CapSet
+	f    *lwfspfs.File
+}
+
+func (s serialFile) WriteAt(p *sim.Proc, off int64, payload netsim.Payload) (int64, error) {
+	locks := s.c.Locks()
+	if err := locks.Lock(p, s.f.LockKey(), txn.Exclusive); err != nil {
+		return 0, err
+	}
+	defer locks.Unlock(p, s.f.LockKey()) //nolint:errcheck
+	var written int64
+	err := eachUnit(s.f.Layout(), off, payload.Size, func(ref storage.ObjRef, objOff, cur, n int64) error {
+		piece := netsim.SyntheticPayload(n)
+		if payload.Data != nil {
+			piece = netsim.BytesPayload(payload.Data[cur-off : cur-off+n])
+		}
+		w, err := s.c.Write(p, ref, s.caps, objOff, piece)
+		written += w
+		return err
+	})
+	return written, err
+}
+
+// ReadAt reads [off, off+length) truncated at the file's size, as
+// File.ReadAt does.
+func (s serialFile) ReadAt(p *sim.Proc, off, length int64) (netsim.Payload, error) {
+	locks := s.c.Locks()
+	if err := locks.Lock(p, s.f.LockKey(), txn.Shared); err != nil {
+		return netsim.Payload{}, err
+	}
+	defer locks.Unlock(p, s.f.LockKey()) //nolint:errcheck
+	if off >= s.f.Size() {
+		return netsim.Payload{}, nil
+	}
+	length = min(length, s.f.Size()-off)
+	out := netsim.Payload{Size: length}
+	err := eachUnit(s.f.Layout(), off, length, func(ref storage.ObjRef, objOff, cur, n int64) error {
+		piece, err := s.c.Read(p, ref, s.caps, objOff, n)
+		if err != nil {
+			return err
+		}
+		if piece.Data != nil {
+			if out.Data == nil {
+				out.Data = make([]byte, length)
+			}
+			copy(out.Data[cur-off:], piece.Data)
+		}
+		return nil
+	})
+	return out, err
+}
+
+// eachUnit calls fn for every stripe unit [cur, cur+n) of the file range
+// [off, off+length), in file order, with the object holding it and the
+// unit's offset in that object.
+func eachUnit(l stripe.Layout, off, length int64, fn func(ref storage.ObjRef, objOff, cur, n int64) error) error {
+	for cur := off; cur < off+length; {
+		idx, objOff := l.Locate(cur)
+		n := min(l.Unit-cur%l.Unit, off+length-cur)
+		if err := fn(l.Objs[idx], objOff, cur, n); err != nil {
+			return err
+		}
+		cur += n
+	}
+	return nil
 }
 
 // Render prints the sweep: the speedup columns are the engine's payoff and

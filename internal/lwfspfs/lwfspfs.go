@@ -18,8 +18,8 @@
 // Data moves through the striped-layout engine: a WriteAt/ReadAt spanning M
 // servers issues one coalesced request per object and runs them
 // concurrently, so the transfer pays ~one round trip instead of M serial
-// ones. Options.Serial retains the historical per-unit serial path as a
-// measurement baseline (figures.StripeSweep, experiment E17).
+// ones. The historical one-RPC-per-stripe-unit path, E17's baseline, is a
+// driver in internal/figures built from Caps, LockKey and Layout.
 //
 // The companion example examples/posixfs runs it end to end.
 package lwfspfs
@@ -41,9 +41,8 @@ import (
 	"lwfs/internal/txn"
 )
 
-// Options tune a file system instance. StripeUnit, Stripes, Scheme and
-// Copies persist in the superblock; Serial and Window are per-mount runtime
-// knobs.
+// Options tune a file system instance. Every field persists in the
+// superblock.
 type Options struct {
 	StripeUnit int64 // bytes per stripe chunk (default 1 MiB)
 	Stripes    int   // data columns per file (default: as many as servers allow)
@@ -62,15 +61,6 @@ type Options struct {
 	// 1 under RAID-0 — mirroring the layout record of a file whose data
 	// dies with the first crash buys nothing. Persisted in the superblock.
 	MetaCopies int
-
-	// Serial selects the legacy one-RPC-per-stripe-unit transfer path
-	// instead of the coalesced parallel engine — the baseline arm of the
-	// E17 comparison. Redundant layouts always use the engine (the serial
-	// path knows nothing about mirrors or parity). Not persisted.
-	Serial bool
-	// Window bounds the engine's in-flight requests per call
-	// (default stripe.DefaultWindow). Not persisted.
-	Window int
 }
 
 func (o Options) withDefaults(servers int) Options {
@@ -192,7 +182,7 @@ func Format(p *sim.Proc, c *core.Client, rootDir string, opts Options) (*FS, err
 		return nil, fmt.Errorf("lwfspfs: root: %w", err)
 	}
 	fs := &FS{c: c, root: rootDir, cid: cid, caps: caps, opts: opts,
-		eng: stripe.NewEngine(c, caps, opts.Window)}
+		eng: stripe.NewEngine(c, caps, 0)}
 	fs.initMetrics()
 	// Superblock: records container and layout so another process can
 	// Mount by path alone.
@@ -261,7 +251,7 @@ func mount(p *sim.Proc, c *core.Client, rootDir string, cid authz.ContainerID, o
 		return nil, stripe.ErrBadLayout
 	}
 	fs.opts = opts.withDefaults(len(c.Servers()))
-	fs.eng = stripe.NewEngine(c, caps, fs.opts.Window)
+	fs.eng = stripe.NewEngine(c, caps, 0)
 	fs.initMetrics()
 	return fs, nil
 }
@@ -300,6 +290,10 @@ func (fs *FS) Container() authz.ContainerID { return fs.cid }
 
 // Root returns the mount directory.
 func (fs *FS) Root() string { return fs.root }
+
+// Caps returns the capability set the mount presents to storage servers.
+// Reusing it keeps a transfer on the servers' cached verifications.
+func (fs *FS) Caps() core.CapSet { return fs.caps }
 
 // full converts an FS-relative path to a naming-service path.
 func (fs *FS) full(path string) string {
@@ -684,24 +678,22 @@ func (f *File) Size() int64 { return f.l.Size }
 // shared; treat it as read-only).
 func (f *File) Layout() stripe.Layout { return f.l }
 
+// LockKey returns the lock-service key WriteAt and ReadAt hold the file
+// under, for callers that move its data by another path.
+func (f *File) LockKey() string { return f.fs.lockName(f.path) }
+
 // WriteAt writes payload at off under POSIX semantics: the file's
 // exclusive lock is held for the duration, so concurrent writers serialize
 // and readers never observe torn writes. The transfer itself runs through
 // the striped engine — one coalesced request per object, fanned out
-// concurrently — unless the file system is in Serial mode.
+// concurrently.
 func (f *File) WriteAt(p *sim.Proc, off int64, payload netsim.Payload) (int64, error) {
 	locks := f.fs.c.Locks()
-	if err := locks.Lock(p, f.fs.lockName(f.path), txn.Exclusive); err != nil {
+	if err := locks.Lock(p, f.LockKey(), txn.Exclusive); err != nil {
 		return 0, err
 	}
-	defer locks.Unlock(p, f.fs.lockName(f.path)) //nolint:errcheck
-	var n int64
-	var err error
-	if f.fs.opts.Serial && f.l.Scheme == stripe.Raid0 {
-		n, err = f.writeSerial(p, off, payload)
-	} else {
-		n, err = f.fs.eng.WriteAt(p, f.l, off, payload)
-	}
+	defer locks.Unlock(p, f.LockKey()) //nolint:errcheck
+	n, err := f.fs.eng.WriteAt(p, f.l, off, payload)
 	if err != nil {
 		return n, err
 	}
@@ -719,91 +711,27 @@ func (f *File) WriteAt(p *sim.Proc, off int64, payload netsim.Payload) (int64, e
 	return n, f.flushMeta(p)
 }
 
-// writeSerial is the historical transfer path: one RPC per stripe unit, in
-// file order. Kept as the baseline arm of the E17 comparison.
-func (f *File) writeSerial(p *sim.Proc, off int64, payload netsim.Payload) (int64, error) {
-	var written int64
-	u := f.l.Unit
-	for cur := off; cur < off+payload.Size; {
-		idx, objOff := f.l.Locate(cur)
-		n := u - (cur % u)
-		if n > off+payload.Size-cur {
-			n = off + payload.Size - cur
-		}
-		piece := netsim.SyntheticPayload(n)
-		if payload.Data != nil {
-			piece = netsim.BytesPayload(payload.Data[cur-off : cur-off+n])
-		}
-		w, err := f.fs.c.Write(p, f.l.Objs[idx], f.fs.caps, objOff, piece)
-		written += w
-		if err != nil {
-			return written, err
-		}
-		cur += n
-	}
-	return written, nil
-}
-
 // ReadAt reads [off, off+length) under the file's shared lock, truncated at
 // the file's logical size.
 func (f *File) ReadAt(p *sim.Proc, off, length int64) (netsim.Payload, error) {
 	locks := f.fs.c.Locks()
-	if err := locks.Lock(p, f.fs.lockName(f.path), txn.Shared); err != nil {
+	if err := locks.Lock(p, f.LockKey(), txn.Shared); err != nil {
 		return netsim.Payload{}, err
 	}
-	defer locks.Unlock(p, f.fs.lockName(f.path)) //nolint:errcheck
+	defer locks.Unlock(p, f.LockKey()) //nolint:errcheck
 	if off >= f.l.Size {
 		return netsim.Payload{}, nil
 	}
 	if off+length > f.l.Size {
 		length = f.l.Size - off
 	}
-	if f.fs.opts.Serial && f.l.Scheme == stripe.Raid0 {
-		return f.readSerial(p, off, length)
-	}
 	return f.fs.eng.ReadAt(p, f.l, off, length)
 }
 
-// readSerial is the per-unit serial read path (baseline arm of E17).
-func (f *File) readSerial(p *sim.Proc, off, length int64) (netsim.Payload, error) {
-	out := netsim.Payload{Size: length}
-	var buf []byte
-	u := f.l.Unit
-	for cur := off; cur < off+length; {
-		idx, objOff := f.l.Locate(cur)
-		n := u - (cur % u)
-		if n > off+length-cur {
-			n = off + length - cur
-		}
-		piece, err := f.fs.c.Read(p, f.l.Objs[idx], f.fs.caps, objOff, n)
-		if err != nil {
-			return out, err
-		}
-		if piece.Data != nil {
-			if buf == nil {
-				buf = make([]byte, length)
-			}
-			copy(buf[cur-off:], piece.Data)
-		}
-		cur += n
-	}
-	out.Data = buf
-	return out, nil
-}
-
 // Sync flushes every storage server holding part of the file. The
-// per-target Sync RPCs fan out concurrently (serially in Serial mode).
+// per-target Sync RPCs fan out concurrently.
 func (f *File) Sync(p *sim.Proc) error {
-	targets := f.l.Targets()
-	if f.fs.opts.Serial {
-		for _, t := range targets {
-			if err := f.fs.c.Sync(p, t, f.fs.caps); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return f.fs.eng.SyncTargets(p, targets)
+	return f.fs.eng.SyncTargets(p, f.l.Targets())
 }
 
 // Close persists metadata if needed.

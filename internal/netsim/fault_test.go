@@ -7,22 +7,6 @@ import (
 	"lwfs/internal/sim"
 )
 
-func TestFaultDropsMatchingMessages(t *testing.T) {
-	k := sim.NewKernel()
-	net, a, b := twoNodeNet(k, mb, time.Microsecond)
-	delivered := 0
-	b.SetHandler(func(m Message) { delivered++ })
-	net.SetFault(func(m Message) bool { return m.Size > 1000 })
-	net.Send(Message{From: a.ID, To: b.ID, Size: 100})  // passes
-	net.Send(Message{From: a.ID, To: b.ID, Size: 5000}) // dropped
-	if err := k.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if delivered != 1 || net.Dropped() != 1 {
-		t.Fatalf("delivered=%d dropped=%d", delivered, net.Dropped())
-	}
-}
-
 func TestPartitionAndHeal(t *testing.T) {
 	k := sim.NewKernel()
 	net := New(k, time.Microsecond)

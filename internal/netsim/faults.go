@@ -115,29 +115,22 @@ func (n *Network) Degrade(group []NodeID, dropProb float64, extra time.Duration)
 	return n.InjectFault(FaultSpec{GroupA: group, DropProb: dropProb, ExtraLatency: extra})
 }
 
-// Heal removes every fault rule and the legacy SetFault closure.
+// Heal removes every fault rule.
 func (n *Network) Heal() {
 	for _, f := range n.rules {
 		f.healed = true
 	}
 	n.rules = nil
-	n.fault = nil
 }
-
-// Faults returns the live fault rules (chaos harness introspection).
-func (n *Network) Faults() []*Fault { return n.rules }
 
 // SetChaosSeed seeds the generator behind probabilistic drops. Runs that
 // never install a fractional DropProb never consume randomness; runs that do
 // should set the seed explicitly (the default is seed 0).
 func (n *Network) SetChaosSeed(seed int64) { n.rng = sim.NewRand(seed) }
 
-// applyFaults runs m through the legacy closure and every live rule,
-// reporting whether to drop it and how much extra latency it accrues.
+// applyFaults runs m through every live rule, reporting whether to drop it
+// and how much extra latency it accrues.
 func (n *Network) applyFaults(m Message) (drop bool, extra time.Duration) {
-	if n.fault != nil && n.fault(m) {
-		return true, 0
-	}
 	now := n.k.Now()
 	for _, f := range n.rules {
 		if !f.matches(m, now) {

@@ -89,7 +89,6 @@ type Network struct {
 	latency time.Duration
 	nodes   []*Node
 	trace   func(at sim.Time, m Message, event string)
-	fault   func(m Message) bool
 	rules   []*Fault
 	rng     *sim.Rand
 	reg     *metrics.Registry
@@ -151,17 +150,6 @@ func (t *xfer) ingressDone() {
 		d.handler(m)
 	}
 }
-
-// SetFault installs an ad-hoc fault injector consulted for every message at
-// send time; returning true silently drops the message. Pass nil to remove
-// it. Declarative fault rules (InjectFault, Partition, Degrade in faults.go)
-// compose with and are preferred over this closure. Timing note: drops
-// happen before egress, so the sender pays nothing — appropriate for
-// modeling partitions, where packets vanish in the fabric.
-func (n *Network) SetFault(f func(m Message) bool) { n.fault = f }
-
-// Dropped reports messages removed by fault injection.
-func (n *Network) Dropped() int64 { return n.dropped.Value() }
 
 // Metrics returns the network's instrument registry — the cluster-wide
 // observability surface every service hanging off this network registers
@@ -239,9 +227,6 @@ func (nd *Node) SetHandler(h Handler) { nd.handler = h }
 // IngressBusy reports the total time the node's ingress server was busy.
 func (nd *Node) IngressBusy() time.Duration { return nd.ingress.BusyTime() }
 
-// EgressBusy reports the total time the node's egress server was busy.
-func (nd *Node) EgressBusy() time.Duration { return nd.egress.BusyTime() }
-
 // Send transmits m asynchronously: the caller continues immediately and the
 // message is delivered to the destination handler after egress
 // serialization, latency and ingress serialization. Send may be called from
@@ -263,29 +248,4 @@ func (n *Network) Send(m Message) {
 	t := n.allocXfer()
 	t.m, t.dst, t.extra = m, dst, extra
 	src.egress.Schedule(sim.Rate(m.Size, src.cfg.EgressBW), t.stage1)
-}
-
-// SendWait is Send, but the calling process blocks until the message has
-// fully left the local NIC (egress serialization complete). This models a
-// blocking send whose local buffer cannot be reused until the DMA engine is
-// done — the natural shape for a client streaming checkpoint chunks.
-func (n *Network) SendWait(p *sim.Proc, m Message) {
-	src := n.Node(m.From)
-	dst := n.Node(m.To)
-	if m.Size <= 0 {
-		m.Size = 1
-	}
-	drop, extra := n.applyFaults(m)
-	if drop {
-		n.dropped.Inc()
-		return
-	}
-	src.sent.Inc()
-	src.bytesSent.Add(m.Size)
-	n.traceMsg(m, "tx")
-	// Block for our egress slot, then launch the rest of the pipeline.
-	src.egress.Wait(p, sim.Rate(m.Size, src.cfg.EgressBW))
-	t := n.allocXfer()
-	t.m, t.dst, t.extra = m, dst, extra
-	t.egressDone()
 }

@@ -74,13 +74,13 @@ func TestDropWindowOnlyLiveInsideWindow(t *testing.T) {
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if delivered != 2 || net.Dropped() != 1 {
-		t.Fatalf("delivered=%d dropped=%d", delivered, net.Dropped())
+	if dropped := net.Metrics().Snapshot().Value("net.dropped"); delivered != 2 || dropped != 1 {
+		t.Fatalf("delivered=%d dropped=%v", delivered, dropped)
 	}
 }
 
 func TestProbabilisticDropsAreSeedDeterministic(t *testing.T) {
-	run := func(seed int64) (delivered int, dropped int64) {
+	run := func(seed int64) (delivered int, dropped float64) {
 		k := sim.NewKernel()
 		net, a, b := twoNodeNet(k, mb, time.Microsecond)
 		b.SetHandler(func(m Message) { delivered++ })
@@ -93,15 +93,15 @@ func TestProbabilisticDropsAreSeedDeterministic(t *testing.T) {
 		if err := k.Run(sim.MaxTime); err != nil {
 			t.Fatal(err)
 		}
-		return delivered, net.Dropped()
+		return delivered, net.Metrics().Snapshot().Value("net.dropped")
 	}
 	d1, x1 := run(11)
 	d2, x2 := run(11)
 	if d1 != d2 || x1 != x2 {
-		t.Fatalf("same seed diverged: %d/%d vs %d/%d", d1, x1, d2, x2)
+		t.Fatalf("same seed diverged: %d/%v vs %d/%v", d1, x1, d2, x2)
 	}
 	if x1 < 20 || x1 > 120 {
-		t.Fatalf("drop count %d implausible for p=0.3 over 200 sends", x1)
+		t.Fatalf("drop count %v implausible for p=0.3 over 200 sends", x1)
 	}
 	d3, _ := run(12)
 	if d3 == d1 {

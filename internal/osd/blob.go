@@ -36,9 +36,6 @@ func (e extent) end() int64 { return e.off + int64(len(e.data)) }
 // Size returns the logical size (highest written offset + length).
 func (b *Blob) Size() int64 { return b.size }
 
-// HasRealData reports whether any real bytes are stored.
-func (b *Blob) HasRealData() bool { return len(b.extents) > 0 }
-
 // Write stores payload at off. If payload carries real bytes they become
 // readable; a synthetic payload only extends the logical size.
 func (b *Blob) Write(off int64, payload netsim.Payload) {

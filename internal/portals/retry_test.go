@@ -44,7 +44,7 @@ func TestCallRetriesThroughDropWindow(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("handler ran %d times", calls)
 	}
-	if c.Retries() == 0 {
+	if r.net.Metrics().Snapshot().Value("rpc.client.n0.retries") == 0 {
 		t.Fatal("expected at least one retry")
 	}
 }
@@ -102,8 +102,8 @@ func TestServerDedupsSlowRequestRetries(t *testing.T) {
 	}
 	// The first two attempts' replies eventually landed after their
 	// timeouts: dropped and counted, never delivered to a live call.
-	if c.LateReplies() != 2 {
-		t.Fatalf("late replies = %d, want 2", c.LateReplies())
+	if late := r.net.Metrics().Snapshot().Value("rpc.client.n0.late_replies"); late != 2 {
+		t.Fatalf("late replies = %v, want 2", late)
 	}
 }
 
@@ -135,8 +135,8 @@ func TestLateReplyAfterCallTimeoutIsCountedNotDelivered(t *testing.T) {
 	if err2 != nil || second.(string) != "resp:fast" {
 		t.Fatalf("second call corrupted by late reply: %v, %v", second, err2)
 	}
-	if c.LateReplies() != 1 {
-		t.Fatalf("late replies = %d, want 1", c.LateReplies())
+	if late := r.net.Metrics().Snapshot().Value("rpc.client.n0.late_replies"); late != 1 {
+		t.Fatalf("late replies = %v, want 1", late)
 	}
 	if r.eps[0].lateDrops.Value() != 1 {
 		t.Fatalf("endpoint late drops = %d, want 1", r.eps[0].lateDrops.Value())

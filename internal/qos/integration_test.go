@@ -323,14 +323,18 @@ func TestQoSBreakerFlappingChaos(t *testing.T) {
 	if len(log.Events) != 4 {
 		t.Fatalf("chaos schedule ran %d events, want 4: %v", len(log.Events), log.Events)
 	}
-	if brk.Opens() < 2 {
-		t.Errorf("breaker opened %d times across two outages, want >= 2", brk.Opens())
+	snap := r.Net.Metrics().Snapshot()
+	brkCount := func(name string) float64 {
+		return snap.Value("qos.breaker." + r.Eps[3].NodeName() + "." + name)
 	}
-	if brk.Closes() < 1 {
+	if brkCount("opens") < 2 {
+		t.Errorf("breaker opened %v times across two outages, want >= 2", brkCount("opens"))
+	}
+	if brkCount("closes") < 1 {
 		t.Errorf("breaker never closed after recovery")
 	}
-	if brk.FastFails() < 1 || fastRoutes < 1 {
-		t.Errorf("no zero-wait fast-fails (counter=%d, observed=%d)", brk.FastFails(), fastRoutes)
+	if brkCount("fast_fails") < 1 || fastRoutes < 1 {
+		t.Errorf("no zero-wait fast-fails (counter=%v, observed=%d)", brkCount("fast_fails"), fastRoutes)
 	}
 	if rerouted < 10 {
 		t.Errorf("only %d writes rerouted during ~100ms of outage", rerouted)

@@ -499,10 +499,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// Yield lets every event scheduled at the current instant (so far) run
-// before the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // procLoop runs the dispatch loop on a process goroutine, converting a
 // panic inside an event callback into a simulation failure surfaced by Run.
 // (A panic in process code itself is caught by main's recover instead; this
@@ -658,11 +654,4 @@ func (k *Kernel) Run(limit Time) error {
 		return &DeadlockError{At: k.now, Blocked: names}
 	}
 	return nil
-}
-
-// MustRun is Run(MaxTime) but panics on error. Convenient in examples.
-func (k *Kernel) MustRun() {
-	if err := k.Run(MaxTime); err != nil {
-		panic(err)
-	}
 }

@@ -329,7 +329,7 @@ func (f *File) Write(b []byte) (int, error) {
 
 // WriteAt writes b at off (io.WriterAt), under the file's POSIX lock.
 func (f *File) WriteAt(b []byte, off int64) (int, error) {
-	if err := f.writeOK(); err != nil {
+	if err := f.writeOK(off); err != nil {
 		return 0, err
 	}
 	n, err := f.f.WriteAt(f.fsys.p, off, netsim.BytesPayload(b))
@@ -344,7 +344,7 @@ func (f *File) WriteAt(b []byte, off int64) (int, error) {
 // simulation moves (and accounts) the bytes without materializing them.
 // Recorded with content seed 0; such ranges read back as zeros.
 func (f *File) WriteSynthetic(off, length int64) (int64, error) {
-	if err := f.writeOK(); err != nil {
+	if err := f.writeOK(off); err != nil {
 		return 0, err
 	}
 	n, err := f.f.WriteAt(f.fsys.p, off, netsim.SyntheticPayload(length))
@@ -361,7 +361,7 @@ func (f *File) WriteSeeded(off, length int64, seed uint64) (int64, error) {
 	if seed == 0 {
 		return f.WriteSynthetic(off, length)
 	}
-	if err := f.writeOK(); err != nil {
+	if err := f.writeOK(off); err != nil {
 		return 0, err
 	}
 	n, err := f.f.WriteAt(f.fsys.p, off, netsim.BytesPayload(trace.DataFor(seed, length)))
@@ -379,6 +379,9 @@ func (f *File) ReadDiscard(off, length int64) (int64, error) {
 	if f.closed {
 		return 0, wrap("read", f.name, fs.ErrClosed)
 	}
+	if off < 0 {
+		return 0, wrap("read", f.name, fs.ErrInvalid)
+	}
 	pay, err := f.f.ReadAt(f.fsys.p, off, length)
 	f.fsys.record(trace.OpRead, f.pth, off, pay.Size, 0)
 	if err != nil {
@@ -387,12 +390,17 @@ func (f *File) ReadDiscard(off, length int64) (int64, error) {
 	return pay.Size, nil
 }
 
-func (f *File) writeOK() error {
+// writeOK rejects a write at off through a closed or read-only handle, or
+// at a negative offset.
+func (f *File) writeOK(off int64) error {
 	if f.closed {
 		return wrap("write", f.name, fs.ErrClosed)
 	}
 	if !f.writable {
 		return wrap("write", f.name, errors.New("file opened read-only"))
+	}
+	if off < 0 {
+		return wrap("write", f.name, fs.ErrInvalid)
 	}
 	return nil
 }

@@ -316,5 +316,27 @@ func TestWriteGuards(t *testing.T) {
 		if _, err := x.Open("../escape"); !errors.Is(err, fs.ErrInvalid) {
 			t.Fatalf("invalid name err = %v", err)
 		}
+		// Negative offsets are invalid on every write and read path, and
+		// the handle keeps working after them.
+		w, err := x.Create("neg.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, call := range map[string]func() (int64, error){
+			"WriteAt": func() (int64, error) {
+				n, err := w.WriteAt([]byte("x"), -3)
+				return int64(n), err
+			},
+			"WriteSynthetic": func() (int64, error) { return w.WriteSynthetic(-3, 10) },
+			"WriteSeeded":    func() (int64, error) { return w.WriteSeeded(-3, 10, 7) },
+			"ReadDiscard":    func() (int64, error) { return w.ReadDiscard(-3, 10) },
+		} {
+			if _, err := call(); !errors.Is(err, fs.ErrInvalid) {
+				t.Fatalf("%s at -3: err = %v, want fs.ErrInvalid", name, err)
+			}
+		}
+		if n, err := w.WriteAt([]byte("ok"), 0); err != nil || n != 2 {
+			t.Fatalf("write after rejected offsets: n=%d err=%v", n, err)
+		}
 	})
 }

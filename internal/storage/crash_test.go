@@ -93,15 +93,20 @@ func TestCreateRetryIsExactlyOnce(t *testing.T) {
 	sc := storage.NewClient(caller)
 	storageNode := r.Eps[1].Node()
 	clientNode := r.Eps[2].Node()
-	var eaten int
-	r.Net.SetFault(func(m netsim.Message) bool {
-		// Eat the first storage->client message: the original create's
-		// response, after the object exists server-side.
-		if m.From == storageNode && m.To == clientNode && eaten == 0 {
-			eaten++
-			return true
+	var fault *netsim.Fault
+	r.Net.SetTrace(func(at sim.Time, m netsim.Message, event string) {
+		// The create request's arrival opens a window that cuts storage from
+		// client, eating the original create's response after the object
+		// exists server-side. The window closes before the 2 ms retry.
+		if fault == nil && event == "rx" && m.From == clientNode && m.To == storageNode {
+			fault = r.Net.InjectFault(netsim.FaultSpec{
+				GroupA:   []netsim.NodeID{storageNode},
+				GroupB:   []netsim.NodeID{clientNode},
+				Start:    at,
+				End:      at.Add(time.Millisecond),
+				DropProb: 1,
+			})
 		}
-		return false
 	})
 	r.Go("client", func(p *sim.Proc) {
 		s := newSession(t, p, r, 2, authz.OpCreate)
@@ -115,10 +120,13 @@ func TestCreateRetryIsExactlyOnce(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	if eaten != 1 {
-		t.Fatalf("fault injector ate %d messages", eaten)
+	if fault == nil {
+		t.Fatal("the create request never reached the storage node")
 	}
-	if caller.LateReplies()+caller.Retries() == 0 {
+	if fault.Dropped() != 1 {
+		t.Fatalf("fault window dropped %d messages, want 1", fault.Dropped())
+	}
+	if r.Net.Metrics().Snapshot().Value("rpc.client."+r.Eps[2].NodeName()+".retries") == 0 {
 		t.Fatal("expected a retry")
 	}
 }

@@ -68,6 +68,9 @@ var (
 	ErrWrongOp     = errors.New("storage: capability does not authorize this operation")
 	ErrWrongCont   = errors.New("storage: capability is for a different container")
 	ErrCapRejected = errors.New("storage: capability rejected by authorization service")
+	// ErrBadRange is returned for a write, read or truncate whose offset,
+	// length or size is negative.
+	ErrBadRange = errors.New("storage: negative offset, length or size")
 )
 
 // Config tunes a storage server.
@@ -405,6 +408,9 @@ func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (inter
 		if err := s.checkCap(p, r.Cap, authz.OpWrite, cid); err != nil {
 			return nil, err
 		}
+		if r.Off < 0 || r.Len < 0 {
+			return nil, fmt.Errorf("%w: write [%d, +%d)", ErrBadRange, r.Off, r.Len)
+		}
 		return s.pullWrite(p, from, r)
 
 	case readReq:
@@ -414,6 +420,9 @@ func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (inter
 		}
 		if err := s.checkCap(p, r.Cap, authz.OpRead, cid); err != nil {
 			return nil, err
+		}
+		if r.Off < 0 || r.Len < 0 {
+			return nil, fmt.Errorf("%w: read [%d, +%d)", ErrBadRange, r.Off, r.Len)
 		}
 		return s.pushRead(p, from, r)
 
@@ -436,7 +445,7 @@ func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (inter
 			return nil, err
 		}
 		if r.Size < 0 {
-			return nil, fmt.Errorf("storage: negative truncate size %d", r.Size)
+			return nil, fmt.Errorf("%w: truncate to %d", ErrBadRange, r.Size)
 		}
 		return nil, s.dev.Truncate(p, r.ID, r.Size)
 

@@ -460,9 +460,6 @@ func (t *Txn) Delist(e Endpoint) {
 	}
 }
 
-// Participants returns the enlisted endpoints.
-func (t *Txn) Participants() []Endpoint { return t.participants }
-
 const txnReqSize = 96
 
 // Commit runs two-phase commit (the paper's ENDTXN): prepare at every
